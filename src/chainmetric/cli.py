@@ -27,16 +27,24 @@ from .sampler import (
     euclid_context,
     make_net_solver,
 )
-from .std_map import boundary_map_h_std, boundary_map_k_std, epsilon_net
+from .std_map import (
+    boundary_map_h_std,
+    boundary_map_k_std,
+    epsilon_net,
+    sphere_bracket,
+)
 
 FMT = "{:.17g}"
 
 
 def _parse_point(text: str) -> np.ndarray:
     try:
-        return np.array([float(t) for t in text.split(",")])
+        point = np.array([float(t) for t in text.split(",")])
     except ValueError:
         raise click.UsageError(f"cannot parse point {text!r}; expected 'x1,x2,...'")
+    if not np.all(np.isfinite(point)):
+        raise click.UsageError(f"point {text!r} has a non-finite coordinate")
+    return point
 
 
 def _load_config(path) -> dict:
@@ -112,9 +120,12 @@ def dist(opts, x, y):
     px, py = _parse_point(x), _parse_point(y)
     if len(px) != len(py):
         raise click.UsageError("points must share a dimension")
-    ectx = _context(opts, len(px))
-    cfg = _sampler_config(opts, len(px))
-    nodes = build_sample(cfg, [px, py], ectx.weight_kind, ectx.cone)
+    try:
+        ectx = _context(opts, len(px))
+        cfg = _sampler_config(opts, len(px))
+        nodes = build_sample(cfg, [px, py], ectx.weight_kind, ectx.cone)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     graph = build_graph(ectx, nodes, cfg.graph_mode)
     value, witness = approx_dphi(graph, px, py)
     lower = lower_bound_certificate(ectx, px, py)
@@ -162,6 +173,8 @@ def net(opts, epsilon, dimension, samples, verify):
     """Constructive epsilon-net of the transformed plane, with coverage check."""
     if not 0.0 < epsilon < 1.0:
         raise click.UsageError(f"epsilon must be in (0, 1), got {epsilon}")
+    if dimension < 2:
+        raise click.UsageError(f"dimension must be >= 2, got {dimension}")
     seed = int(opts.get("seed", 0))
     from .std_map import net_index
 
@@ -189,8 +202,18 @@ def net(opts, epsilon, dimension, samples, verify):
 def converge(opts, x, y, levels):
     """Refinement table of shortest-path upper bounds."""
     px, py = _parse_point(x), _parse_point(y)
-    ectx = _context(opts, len(px))
-    cfg = _sampler_config(opts, len(px))
+    if len(px) != len(py):
+        raise click.UsageError("points must share a dimension")
+    if levels < 1:
+        raise click.UsageError(f"levels must be >= 1, got {levels}")
+    try:
+        ectx = _context(opts, len(px))
+        cfg = _sampler_config(opts, len(px))
+        for n in (np.linalg.norm(px), np.linalg.norm(py)):
+            if n > 1.0:
+                sphere_bracket(float(n))  # raises beyond the last sphere
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     rows = convergence_run(ectx, px, py, levels, cfg)
     lines = ["level,node_count,upper_bound"]
     for level, count, value in rows:

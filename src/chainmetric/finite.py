@@ -10,13 +10,12 @@ path so the two act as independent oracles for each other.
 """
 from __future__ import annotations
 
-import heapq
 import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Chain, MetricContext, delta, verify_metric_axioms
+from .core import MetricContext, delta, verify_metric_axioms
 
 
 @dataclass(frozen=True)
@@ -85,25 +84,42 @@ def link_table(ctx: MetricContext, space: FiniteSpace) -> np.ndarray:
     return table
 
 
-def _dijkstra_row(weights: np.ndarray, source: int) -> np.ndarray:
-    n = len(weights)
-    dist = np.full(n, np.inf)
-    dist[source] = 0.0
-    done = np.zeros(n, dtype=bool)
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        row = weights[u]
-        for v in range(n):
-            if not done[v]:
-                nd = d + row[v]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-    return dist
+def shortest_paths(W: np.ndarray, sources, target: int | None = None):
+    """Dijkstra from every source in lockstep over a dense link-cost matrix.
+
+    ``W[u, v]`` is the nonnegative cost of the edge u -> v, ``inf`` where
+    there is none.  Each step settles, per source, the least unsettled node
+    (lowest index on ties) and relaxes its out-edges with a strict ``<``, so
+    distances and predecessors follow the textbook heap order exactly.  With
+    a ``target`` the search stops once every source has settled it.  Returns
+    ``(dist, pred)``, one row per source; ``pred`` is -1 at sources and
+    unreached nodes.
+    """
+    W = np.asarray(W, dtype=float)
+    sources = np.atleast_1d(np.asarray(sources, dtype=int))
+    rows = np.arange(len(sources))
+    dist = np.full((len(sources), len(W)), np.inf)
+    dist[rows, sources] = 0.0
+    pred = np.full(dist.shape, -1, dtype=int)
+    frontier = dist.copy()  # distances of unsettled nodes, inf once settled
+    for _ in range(len(W)):
+        u = np.argmin(frontier, axis=1)
+        du = frontier[rows, u]
+        if not np.any(np.isfinite(du)):
+            break
+        frontier[rows, u] = np.inf
+        if target is not None and np.all(
+            np.isinf(frontier[:, target]) & np.isfinite(dist[:, target])
+        ):
+            break  # the target is settled for every source
+        # A settled node never improves: its distance is at most du and the
+        # costs are nonnegative.
+        cand = du[:, None] + W[u]
+        better = cand < dist
+        np.copyto(dist, cand, where=better)
+        np.copyto(frontier, cand, where=better)
+        np.copyto(pred, u[:, None], where=better)
+    return dist, pred
 
 
 def dphi_exact(ctx: MetricContext, space: FiniteSpace) -> DphiMatrix:
@@ -112,7 +128,7 @@ def dphi_exact(ctx: MetricContext, space: FiniteSpace) -> DphiMatrix:
     if n == 0:
         raise ValueError("space must have at least 1 point")
     table = link_table(ctx, space)
-    values = np.vstack([_dijkstra_row(table, s) for s in range(n)])
+    values, _ = shortest_paths(table, np.arange(n))
     return DphiMatrix(values=values)
 
 
@@ -155,10 +171,6 @@ def dphi_bruteforce(
         for j in range(i + 1, n):
             values[i, j] = values[j, i] = best_chain(i, j)
     return DphiMatrix(values=values)
-
-
-def witness_chain(space: FiniteSpace, node_path: list[int]) -> Chain:
-    return Chain(node_path)
 
 
 def parse_distance_matrix(text: str) -> np.ndarray:

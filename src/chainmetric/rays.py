@@ -11,14 +11,12 @@ y), the resulting compactification is not equivalent to the radial one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .std_map import _radii_upto, harmonic_radius, sphere_index
-
-_BASE_CACHE: dict[bytes, tuple] = {}
+from .std_map import harmonic_radius, sphere_index
 
 
 @dataclass(frozen=True)
@@ -68,14 +66,27 @@ def polar_angle(x: np.ndarray, cone: ConeParam) -> float:
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
+def _field_direction(alpha, delta: float):
+    """The law of the ray field, vectorized over base polar angles: the ray
+    direction (cos theta, sin theta) in the (axis, w_hat) half-plane, with
+    theta = pi/(pi - 2*delta) * (alpha - delta) clamped to [0, pi].
+
+    The clamp makes the rays parallel to the axis inside the polar cones
+    alpha <= delta and alpha >= pi - delta; sin theta is exactly 0 there.
+    """
+    theta = np.pi / (np.pi - 2.0 * delta) * (alpha - delta)
+    theta = np.minimum(np.maximum(theta, 0.0), np.pi)
+    return np.cos(theta), np.sin(theta) * (theta < np.pi)
+
+
 def bend_angle(x, cone: ConeParam) -> float:
     """Direction angle from the axis for a base point outside both cones:
     theta = pi/(pi - 2*delta) * (polar angle - delta)."""
     alpha = polar_angle(x, cone)
-    d = cone.delta
-    if alpha <= d or alpha >= np.pi - d:
+    dx, dy = _field_direction(alpha, cone.delta)
+    if dy == 0.0:
         raise ValueError(f"base at polar angle {alpha} lies inside a cone")
-    return float(np.pi / (np.pi - 2.0 * d) * (alpha - d))
+    return float(np.arctan2(dy, dx))
 
 
 def _half_plane_unit(x: np.ndarray, cone: ConeParam) -> np.ndarray:
@@ -91,14 +102,10 @@ def _half_plane_unit(x: np.ndarray, cone: ConeParam) -> np.ndarray:
 def ray_of(x, cone: ConeParam) -> Ray:
     """The ray of the field based at a unit-sphere point."""
     x = np.asarray(x, dtype=float)
-    alpha = polar_angle(x, cone)
-    if alpha <= cone.delta:
-        return Ray(base=x, direction=cone.axis)
-    if alpha >= np.pi - cone.delta:
-        return Ray(base=x, direction=-cone.axis)
-    theta = bend_angle(x, cone)
-    w = _half_plane_unit(x, cone)
-    direction = np.cos(theta) * cone.axis + np.sin(theta) * w
+    dx, dy = _field_direction(polar_angle(x, cone), cone.delta)
+    if dy == 0.0:  # inside a cone: parallel to the axis
+        return Ray(base=x, direction=dx * cone.axis)
+    direction = dx * cone.axis + dy * _half_plane_unit(x, cone)
     return Ray(base=x, direction=direction)
 
 
@@ -107,69 +114,76 @@ def _point_to_ray_distance(y: np.ndarray, ray: Ray) -> float:
     return float(np.linalg.norm(y - ray.point_at(t)))
 
 
-def ray_through(
-    y, cone: ConeParam, max_iter: int = 200, residual_tol: float = 1e-10
-) -> tuple[Ray, float]:
-    """The unique ray of the field through an exterior point, by bisection on
-    the base polar angle inside y's half-plane.
+# Largest distance between a point and the ray found through it.
+_RESIDUAL_TOL = 1e-10
 
-    Returns the ray and the residual distance from y to it; a residual above
-    ``residual_tol`` raises, since uniqueness of the ray is an assumption the
-    construction relies on and silent failure would mask its violation.
+
+def ray_bases(Y, cone: ConeParam) -> np.ndarray:
+    """Base points of the unique rays of the field through the rows of ``Y``.
+
+    Bisects the base polar angle of every row at once, each inside its own
+    (axis, w_hat) half-plane.  Raises for a point inside the unit ball, and
+    for a residual distance above ``_RESIDUAL_TOL`` between a point and its
+    ray, since uniqueness of the ray is an assumption the construction relies
+    on and silent failure would mask its violation.
     """
-    y = np.asarray(y, dtype=float)
-    ny = float(np.linalg.norm(y))
-    if ny < 1.0 - 1e-12:
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    norms = np.linalg.norm(Y, axis=1)
+    inside = norms < 1.0 - 1e-12
+    if np.any(inside):
+        ny = float(norms[np.argmax(inside)])
         raise ValueError(f"point with norm {ny} is inside the unit ball")
-    w = y.copy()
-    w[0] = 0.0
-    q = float(np.linalg.norm(w))
-    if q < 1e-12:
-        base = cone.axis if y[0] > 0 else -cone.axis
-        ray = ray_of(base, cone)
-        return ray, _point_to_ray_distance(y, ray)
-    w_hat = w / q
-    p = float(y[0])
+    W = Y.copy()
+    W[:, 0] = 0.0
+    q = np.linalg.norm(W, axis=1)
+    p = Y[:, 0]
+    bases = np.zeros_like(Y)
+    # Near the axis the half-plane is undefined; the axis rays pass there.
+    axial = q < 1e-12
+    bases[axial, 0] = np.where(p[axial] > 0, 1.0, -1.0)
+    rows = ~axial
+    if not np.any(rows):
+        return bases
+    p, q = p[rows], q[rows]
+    w_hat = W[rows] / q[:, None]
 
-    def base_at(beta: float) -> np.ndarray:
-        return np.cos(beta) * cone.axis + np.sin(beta) * w_hat
-
-    def signed_offset(beta: float) -> float:
-        # 2-D cross product in the (axis, w_hat) frame; positive while the
-        # ray passes below y, negative above.  Brackets on [0, pi] always:
-        # offset(0) = q > 0, offset(pi) = -q < 0.
-        ray = ray_of(base_at(beta), cone)
-        dx = float(np.dot(ray.direction, cone.axis))
-        dy = float(np.dot(ray.direction, w_hat))
-        vx = p - float(np.dot(ray.base, cone.axis))
-        vy = q - float(np.dot(ray.base, w_hat))
-        return dx * vy - dy * vx
-
-    lo, hi = 0.0, np.pi
-    for _ in range(max_iter):
+    # The 2-D cross product of the ray direction with (y - base) is positive
+    # while the ray passes below y and negative above; it brackets on
+    # [0, pi] always: offset(0) = q > 0, offset(pi) = -q < 0.
+    lo = np.zeros(len(p))
+    hi = np.full(len(p), np.pi)
+    while np.max(hi - lo) >= 1e-15:
         mid = 0.5 * (lo + hi)
-        if signed_offset(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    ray = ray_of(base_at(0.5 * (lo + hi)), cone)
-    residual = _point_to_ray_distance(y, ray)
-    if residual > residual_tol:
+        dx, dy = _field_direction(mid, cone.delta)
+        below = dx * (q - np.sin(mid)) - dy * (p - np.cos(mid)) > 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    beta = 0.5 * (lo + hi)
+    cb, sb = np.cos(beta), np.sin(beta)
+
+    dx, dy = _field_direction(beta, cone.delta)
+    vx, vy = p - cb, q - sb
+    t = np.maximum(0.0, vx * dx + vy * dy)
+    residual = np.hypot(vx - t * dx, vy - t * dy)
+    bad = residual > _RESIDUAL_TOL
+    if np.any(bad):
+        k = int(np.argmax(bad))
         raise RuntimeError(
-            f"ray search failed to converge: residual {residual} at point {y}"
+            f"ray search failed to converge: residual {residual[k]} "
+            f"at point {Y[rows][k]}"
         )
-    return ray, residual
+    sub = sb[:, None] * w_hat
+    sub[:, 0] = cb
+    bases[rows] = sub
+    return bases
 
 
-def _cached_base(x: np.ndarray, cone: ConeParam) -> np.ndarray:
-    key = (x.tobytes(), cone.delta)
-    hit = _BASE_CACHE.get(key)
-    if hit is None:
-        ray, _ = ray_through(x, cone)
-        _BASE_CACHE[key] = hit = ray.base
-    return hit
+def ray_through(y, cone: ConeParam) -> tuple[Ray, float]:
+    """The unique ray of the field through an exterior point, with the
+    residual distance from the point to it; see :func:`ray_bases`."""
+    y = np.asarray(y, dtype=float)
+    ray = ray_of(ray_bases(y[None, :], cone)[0], cone)
+    return ray, _point_to_ray_distance(y, ray)
 
 
 def _ray_sphere_param(ray: Ray, radius: float) -> float:
@@ -206,8 +220,8 @@ def psi(x, y, cone: ConeParam, tau: float = 1e-9) -> float:
     nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
     p, q = sphere_index(nx, tau), sphere_index(ny, tau)
     if p is not None and q is not None:
-        bx = _cached_base(x, cone)
-        by = _cached_base(y, cone)
+        bx = ray_through(x, cone)[0].base
+        by = ray_through(y, cone)[0].base
         if float(np.linalg.norm(bx - by)) <= tau:
             return 0.0
         if p == q:
@@ -218,14 +232,12 @@ def psi(x, y, cone: ConeParam, tau: float = 1e-9) -> float:
 def psi_matrix(points: np.ndarray, cone: ConeParam, tau: float = 1e-9) -> np.ndarray:
     """Vectorized pairwise ray weight over a point set."""
     P = np.asarray(points, dtype=float)
-    n = len(P)
     norms = np.linalg.norm(P, axis=1)
-    on = np.array([sphere_index(v, tau) is not None for v in norms])
-    idx = np.array([sphere_index(v, tau) or 0 for v in norms])
+    idx = np.array([sphere_index(v, tau) or 0 for v in norms])  # 0 = off-sphere
+    on = idx > 0
     bases = np.zeros_like(P)
-    for i in range(n):
-        if on[i]:
-            bases[i] = _cached_base(P[i], cone)
+    if np.any(on):
+        bases[on] = ray_bases(P[on], cone)
     D = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2)
     W = D.copy()
     both = on[:, None] & on[None, :]

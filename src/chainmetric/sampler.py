@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from . import rays as _rays
-from . import std_map as _std
 from .core import Chain, MetricContext
+from .finite import shortest_paths
 from .rays import ConeParam, psi, psi_matrix, ray_of, ray_through
 from .std_map import harmonic_radius, phi_std, phi_std_matrix, sphere_bracket
 
@@ -197,13 +197,16 @@ def build_sample(
 
 @dataclass
 class SampleGraph:
-    """Link-cost graph over a node set; shortest paths certify upper bounds."""
+    """Link-cost graph over a node set; shortest paths certify upper bounds.
+
+    ``link[i, j]`` is the link cost of a retained pair and ``inf`` for a
+    pair the graph mode dropped.
+    """
 
     ctx: EuclidContext
     nodes: NodeSet
-    adjacency: list
     mode: str
-    link: np.ndarray = field(repr=False, default=None)
+    link: np.ndarray = field(repr=False)
 
     def node_index(self, x, tol: float = 1e-9) -> int:
         x = np.asarray(x, dtype=float)
@@ -212,17 +215,6 @@ class SampleGraph:
         if d[i] > tol:
             raise KeyError(f"point {x} is not a graph node (nearest at {d[i]})")
         return i
-
-
-def _knearest_pairs(D: np.ndarray, k: int) -> set:
-    pairs = set()
-    n = len(D)
-    k = min(k, n - 1)
-    order = np.argsort(D, axis=1, kind="stable")
-    for i in range(n):
-        for j in order[i, 1 : k + 1]:
-            pairs.add((min(i, int(j)), max(i, int(j))))
-    return pairs
 
 
 def build_graph(ctx: EuclidContext, nodes: NodeSet, mode: str = "auto") -> SampleGraph:
@@ -239,55 +231,28 @@ def build_graph(ctx: EuclidContext, nodes: NodeSet, mode: str = "auto") -> Sampl
     if mode == "auto":
         mode = "complete" if n <= 2000 else "structured"
     W = ctx.link_matrix(nodes.points)
-
     if mode == "complete":
-        adjacency = [
-            [(j, W[i, j]) for j in range(n) if j != i] for i in range(n)
-        ]
-        return SampleGraph(ctx=ctx, nodes=nodes, adjacency=adjacency, mode=mode, link=W)
+        return SampleGraph(ctx=ctx, nodes=nodes, mode=mode, link=W)
 
     P = nodes.points
     D = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2)
-    pairs = _knearest_pairs(D, 6)
+    keep = np.zeros((n, n), dtype=bool)
+    k = min(6, n - 1)
+    nearest = np.argsort(D, axis=1, kind="stable")[:, 1 : k + 1]
+    keep[np.arange(n)[:, None], nearest] = True
     # Identification and same-sphere structure: keep every pair whose weight
     # drops below the Euclidean distance, plus same-sphere near neighbors.
-    cheap = np.transpose(np.nonzero(W < D - 1e-15))
-    for i, j in cheap:
-        if i < j:
-            pairs.add((int(i), int(j)))
-    for i, tag in enumerate(nodes.provenance):
-        if tag == "endpoint":
-            for j in range(n):
-                if j != i:
-                    pairs.add((min(i, j), max(i, j)))
-    adjacency = [[] for _ in range(n)]
-    for i, j in sorted(pairs):
-        adjacency[i].append((j, W[i, j]))
-        adjacency[j].append((i, W[i, j]))
-    for lst in adjacency:
-        lst.sort()
-    return SampleGraph(ctx=ctx, nodes=nodes, adjacency=adjacency, mode=mode, link=W)
-
-
-def _dijkstra(adjacency, source: int):
-    n = len(adjacency)
-    dist = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=int)
-    dist[source] = 0.0
-    done = np.zeros(n, dtype=bool)
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, w in adjacency[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                heapq.heappush(heap, (nd, v))
-    return dist, pred
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    keep |= upper & (W < D - 1e-15)
+    ends = np.array([tag == "endpoint" for tag in nodes.provenance])
+    keep[ends, :] = True
+    keep |= keep.T
+    np.fill_diagonal(keep, False)
+    # link_matrix can differ from its transpose in the last bit; mirroring the
+    # upper triangle gives each kept pair one cost in both directions.
+    link = np.where(keep, np.where(upper, W, W.T), np.inf)
+    np.fill_diagonal(link, 0.0)
+    return SampleGraph(ctx=ctx, nodes=nodes, mode=mode, link=link)
 
 
 def approx_dphi(graph: SampleGraph, x, y) -> tuple[float, Chain]:
@@ -296,7 +261,8 @@ def approx_dphi(graph: SampleGraph, x, y) -> tuple[float, Chain]:
     i, j = graph.node_index(x), graph.node_index(y)
     if i == j:
         return 0.0, Chain([graph.nodes.points[i], graph.nodes.points[j]])
-    dist, pred = _dijkstra(graph.adjacency, i)
+    dist, pred = shortest_paths(graph.link, [i], target=j)
+    dist, pred = dist[0], pred[0]
     if not np.isfinite(dist[j]):
         raise RuntimeError("graph is disconnected between the query endpoints")
     path = [j]
@@ -341,6 +307,25 @@ def convergence_run(
     return rows
 
 
+def _dijkstra(adjacency, source: int) -> np.ndarray:
+    n = len(adjacency)
+    dist = np.full(n, np.inf)
+    dist[source] = 0.0
+    done = np.zeros(n, dtype=bool)
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v, w in adjacency[u]:
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
 def make_net_solver(k: int, ctx: Optional[EuclidContext] = None):
     """Coverage solver for epsilon-net verification.
 
@@ -368,10 +353,11 @@ def make_net_solver(k: int, ctx: Optional[EuclidContext] = None):
         for c in dict.fromkeys(cand):
             pts.append(np.asarray(centers[c], dtype=float))
         W = local.link_matrix(np.array(pts))
+        # On these graphs of at most 9 nodes a heap beats the dense kernel.
         adjacency = [
             [(j, W[i, j]) for j in range(len(pts)) if j != i] for i in range(len(pts))
         ]
-        dist, _ = _dijkstra(adjacency, 0)
+        dist = _dijkstra(adjacency, 0)
         return float(dist[first_center:].min())
 
     return solve
@@ -379,10 +365,9 @@ def make_net_solver(k: int, ctx: Optional[EuclidContext] = None):
 
 def dump_edges(graph: SampleGraph, fh) -> None:
     """Edge list, one 'i j weight' line per edge, 17 significant digits."""
-    for i, lst in enumerate(graph.adjacency):
-        for j, w in lst:
-            if i < j:
-                fh.write(f"{i} {j} {w:.17g}\n")
+    L = graph.link
+    for i, j in zip(*np.nonzero(np.triu(np.isfinite(L), 1))):
+        fh.write(f"{i} {j} {L[i, j]:.17g}\n")
 
 
 def dump_nodes(graph: SampleGraph, fh) -> None:

@@ -53,6 +53,31 @@ class TestDist:
         result = invoke(runner, ["dist", "1;0", "0,1"])
         assert result.exit_code == 2
 
+    def test_nan_coordinate_is_usage_error(self, runner):
+        result = invoke(runner, ["dist", "nan,0", "0,1"])
+        assert result.exit_code == 2
+
+    def test_overflowing_norm_is_usage_error(self, runner):
+        result = invoke(runner, ["dist", "1e300,0", "0,1"])
+        assert result.exit_code == 2
+
+    def test_norm_beyond_sphere_cap_is_usage_error(self, runner):
+        result = invoke(runner, ["dist", "20,0", "0,1"])
+        assert result.exit_code == 2
+
+    def test_ray_weight_beyond_sphere_cap_is_usage_error(self, runner):
+        result = invoke(runner, ["--weight", "ray_psi", "dist", "0,20", "0,1"])
+        assert result.exit_code == 2
+
+    def test_internal_value_error_is_not_usage_error(self, runner, monkeypatch):
+        def broken(*args):
+            raise ValueError("invalid bracket")
+
+        monkeypatch.setattr("chainmetric.cli.certificate", broken)
+        result = runner.invoke(main, ["dist", "1,0", "0,1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, ValueError)
+
 
 class TestOracle:
     def test_three_point_line_values(self, runner, tmp_path):
@@ -87,6 +112,10 @@ class TestNet:
         result = invoke(runner, ["net", "--epsilon", "2.0"])
         assert result.exit_code == 2
 
+    def test_bad_dimension_is_usage_error(self, runner):
+        result = invoke(runner, ["net", "--epsilon", "0.9", "--dimension", "1"])
+        assert result.exit_code == 2
+
 
 class TestConverge:
     def test_table_is_monotone(self, runner):
@@ -97,6 +126,27 @@ class TestConverge:
         assert lines[0] == "level,node_count,upper_bound"
         values = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_dimension_mismatch_is_usage_error(self, runner):
+        result = invoke(runner, ["converge", "1,0", "1,0,0"])
+        assert result.exit_code == 2
+
+    def test_zero_levels_is_usage_error(self, runner):
+        result = invoke(runner, ["converge", "--levels", "0", "1,0", "0,1"])
+        assert result.exit_code == 2
+
+    def test_norm_beyond_sphere_cap_is_usage_error(self, runner):
+        result = invoke(runner, ["converge", "20,0", "0,1"])
+        assert result.exit_code == 2
+
+    def test_internal_value_error_is_not_usage_error(self, runner, monkeypatch):
+        def broken(*args):
+            raise ValueError("bend angle inside a cone")
+
+        monkeypatch.setattr("chainmetric.cli.convergence_run", broken)
+        result = runner.invoke(main, ["converge", "1,0", "0,1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, ValueError)
 
 
 class TestNoneq:

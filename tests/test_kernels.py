@@ -1,0 +1,165 @@
+"""The batched ray inversion and the dense shortest-path kernel against
+their loop-per-element references and the brute-force oracle."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chainmetric.finite import dphi_bruteforce, dphi_exact, shortest_paths
+from chainmetric.rays import ConeParam, ray_bases, ray_of
+from chainmetric.sampler import (
+    SamplerConfig,
+    build_graph,
+    build_sample,
+    euclid_context,
+)
+from chainmetric.std_map import harmonic_radius
+
+from conftest import random_finite_space
+from reference import dijkstra_reference, ray_through_reference
+
+deltas = st.floats(0.1, 0.75)
+dims = st.sampled_from([2, 3])
+seeds = st.integers(0, 2**32 - 1)
+
+
+def unit_at(polar: float, azimuth: float, dim: int) -> np.ndarray:
+    """Unit vector at the given polar angle from the first axis."""
+    if dim == 2:
+        return np.array([np.cos(polar), np.copysign(np.sin(polar), np.cos(azimuth))])
+    return np.array([np.cos(polar), np.sin(polar) * np.cos(azimuth),
+                     np.sin(polar) * np.sin(azimuth)])
+
+
+class TestRayBases:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(delta=deltas, dim=dims, seed=seeds)
+    def test_matches_scalar_bisection(self, delta, dim, seed):
+        cone = ConeParam(delta=delta, dim=dim)
+        rng = np.random.default_rng(seed)
+        dirs = rng.normal(size=(12, dim))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        Y = dirs * rng.uniform(1.0, 20.0, size=(12, 1))
+        expected = np.array([ray_through_reference(y, cone)[0].base for y in Y])
+        assert np.max(np.abs(ray_bases(Y, cone) - expected)) <= 1e-13
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        delta=deltas,
+        dim=dims,
+        polar=st.one_of(
+            st.floats(0.0, np.pi),
+            st.sampled_from([0.0, 1e-14, 1e-9, np.pi - 1e-9, np.pi]),
+        ),
+        azimuth=st.floats(0.0, 2.0 * np.pi),
+        t=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+    )
+    def test_inverts_the_forward_map(self, delta, dim, polar, azimuth, t):
+        cone = ConeParam(delta=delta, dim=dim)
+        u = unit_at(polar, azimuth, dim)
+        y = ray_of(u, cone).point_at(t)
+        base = ray_bases(y[None, :], cone)[0]
+        assert np.linalg.norm(base - u) <= 1e-8
+
+    def test_cone_interiors_and_axis(self):
+        cone = ConeParam(delta=0.6, dim=3)
+        U = np.array([unit_at(a, 0.4, 3) for a in (0.0, 0.3, np.pi - 0.3, np.pi)])
+        Y = np.array([ray_of(u, cone).point_at(2.5) for u in U])
+        assert np.allclose(ray_bases(Y, cone), U, atol=1e-12)
+
+    def test_norm_one_is_its_own_base(self):
+        cone = ConeParam(delta=0.4, dim=2)
+        Y = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.6, 0.8]])
+        assert np.allclose(ray_bases(Y, cone), Y, atol=1e-12)
+
+    def test_point_inside_ball_raises(self):
+        cone = ConeParam(delta=0.6, dim=2)
+        with pytest.raises(ValueError):
+            ray_bases(np.array([[3.0, 0.0], [0.5, 0.5]]), cone)
+
+
+def random_costs(rng, n, masked: bool) -> np.ndarray:
+    """Asymmetric nonnegative costs; small integers force distance ties."""
+    W = rng.integers(0, 4, size=(n, n)).astype(float)
+    W += rng.choice([0.0, 0.5], size=(n, n)) * rng.uniform(size=(n, n))
+    if masked:
+        W[rng.uniform(size=(n, n)) < 0.5] = np.inf
+    np.fill_diagonal(W, 0.0)
+    return W
+
+
+class TestShortestPaths:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 14), masked=st.booleans(), seed=seeds)
+    def test_all_sources_equal_heap_reference(self, n, masked, seed):
+        W = random_costs(np.random.default_rng(seed), n, masked)
+        dist, pred = shortest_paths(W, np.arange(n))
+        for s in range(n):
+            ref_dist, ref_pred = dijkstra_reference(W, s)
+            assert np.array_equal(dist[s], ref_dist)
+            assert np.array_equal(pred[s], ref_pred)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 14), masked=st.booleans(), seed=seeds)
+    def test_early_exit_keeps_target_path(self, n, masked, seed):
+        rng = np.random.default_rng(seed)
+        W = random_costs(rng, n, masked)
+        s, t = (int(v) for v in rng.choice(n, size=2, replace=False))
+        dist, pred = shortest_paths(W, [s], target=t)
+        ref_dist, ref_pred = dijkstra_reference(W, s)
+        assert dist[0, t] == ref_dist[t]
+        if np.isfinite(ref_dist[t]):
+            v = t
+            while v != s:
+                assert pred[0, v] == ref_pred[v]
+                v = int(pred[0, v])
+
+
+class TestDphiExact:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(n=st.integers(3, 8), seed=seeds)
+    def test_equals_bruteforce(self, n, seed):
+        space = random_finite_space(n, np.random.default_rng(seed))
+        ctx = space.context()
+        exact = dphi_exact(ctx, space).values
+        brute = dphi_bruteforce(ctx, space).values
+        scale = float(np.max(space.distances))
+        assert np.max(np.abs(exact - brute)) <= 1e-12 * scale
+
+
+class TestStructuredMask:
+    @pytest.mark.parametrize("weight_kind", ["std_phi", "ray_psi"])
+    def test_keeps_exactly_the_structured_pairs(self, weight_kind):
+        cfg = SamplerConfig(dimension=2, max_sphere_index=4,
+                            angular_resolution=0.4, radial_steps=2)
+        x = np.array([harmonic_radius(3), 0.4])
+        y = np.array([-0.3, 2.5])
+        ctx = euclid_context(weight_kind, dim=2)
+        nodes = build_sample(cfg, [x, y], weight_kind, ctx.cone)
+        graph = build_graph(ctx, nodes, "structured")
+        W = ctx.link_matrix(nodes.points)
+        P = nodes.points
+        D = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2)
+        n = len(P)
+
+        expected = set()
+        order = np.argsort(D, axis=1, kind="stable")
+        for i in range(n):
+            for j in order[i, 1:7]:
+                expected.add((min(i, int(j)), max(i, int(j))))
+        for i in range(n):
+            for j in range(i + 1, n):
+                if W[i, j] < D[i, j] - 1e-15:
+                    expected.add((i, j))
+        for i, tag in enumerate(nodes.provenance):
+            if tag == "endpoint":
+                expected.update((min(i, j), max(i, j)) for j in range(n) if j != i)
+
+        kept = np.isfinite(graph.link)
+        np.fill_diagonal(kept, False)
+        assert np.array_equal(kept, kept.T)
+        found = {(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(kept, 1)))}
+        assert found == expected
+        assert len(expected) < n * (n - 1) // 2
+        for i, j in found:
+            assert graph.link[i, j] == graph.link[j, i] == W[i, j]
