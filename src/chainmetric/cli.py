@@ -51,7 +51,10 @@ def _load_config(path) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise click.UsageError(f"bad config: {path} does not hold a JSON object")
+    return cfg
 
 
 def _merged(cfg: dict, **flags) -> dict:
@@ -166,7 +169,8 @@ def oracle(opts, matrix_file, anchor):
 @main.command()
 @click.option("--epsilon", type=float, required=True)
 @click.option("--dimension", "-s", type=int, default=2, show_default=True)
-@click.option("--samples", type=int, default=10_000, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=10_000,
+              show_default=True)
 @click.option("--verify/--no-verify", default=True, show_default=True)
 @click.pass_obj
 def net(opts, epsilon, dimension, samples, verify):
@@ -274,7 +278,7 @@ def boundary(opts, which, point):
 
 
 @main.command("rays")
-@click.option("--samples", type=int, default=1000, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--delta", type=float, default=0.6, show_default=True)
 @click.option("--dimension", "-s", type=int, default=3, show_default=True)
 @click.pass_obj

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .std_map import harmonic_radius, sphere_index
+from .std_map import harmonic_radius, pairwise_distances, sphere_index, sphere_weight
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,7 @@ def h_pq_ray(x, q: int, cone: ConeParam, tau: float = 1e-9) -> np.ndarray:
     the unique ray of the field through it."""
     x = np.asarray(x, dtype=float)
     nx = float(np.linalg.norm(x))
-    if sphere_index(nx, tau) is None:
+    if not sphere_index(nx, tau):
         raise ValueError(f"point with norm {nx} is not on an identification sphere")
     ray, _ = ray_through(x, cone)
     t = _ray_sphere_param(ray, harmonic_radius(q))
@@ -218,8 +218,8 @@ def psi(x, y, cone: ConeParam, tau: float = 1e-9) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
-    p, q = sphere_index(nx, tau), sphere_index(ny, tau)
-    if p is not None and q is not None:
+    p, q = sphere_index([nx, ny], tau)
+    if p and q:
         bx = ray_through(x, cone)[0].base
         by = ray_through(y, cone)[0].base
         if float(np.linalg.norm(bx - by)) <= tau:
@@ -229,23 +229,17 @@ def psi(x, y, cone: ConeParam, tau: float = 1e-9) -> float:
     return float(np.linalg.norm(x - y))
 
 
-def psi_matrix(points: np.ndarray, cone: ConeParam, tau: float = 1e-9) -> np.ndarray:
-    """Vectorized pairwise ray weight over a point set."""
+def psi_matrix(points, D, cone: ConeParam, tau: float = 1e-9) -> np.ndarray:
+    """Ray weight over a point set (rows of ``points``) whose distance matrix
+    is ``D``: identification and a shared sphere both compare ray bases."""
     P = np.asarray(points, dtype=float)
-    norms = np.linalg.norm(P, axis=1)
-    idx = np.array([sphere_index(v, tau) or 0 for v in norms])  # 0 = off-sphere
+    idx = sphere_index(np.linalg.norm(P, axis=1), tau)
     on = idx > 0
     bases = np.zeros_like(P)
     if np.any(on):
         bases[on] = ray_bases(P[on], cone)
-    D = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2)
-    W = D.copy()
-    both = on[:, None] & on[None, :]
-    base_dist = np.linalg.norm(bases[:, None, :] - bases[None, :, :], axis=2)
-    same = both & (idx[:, None] == idx[None, :])
-    W[same] = base_dist[same]
-    W[both & (base_dist <= tau)] = 0.0
-    return W
+    base_dist = pairwise_distances(bases)
+    return sphere_weight(D, idx, base_dist, base_dist, tau)
 
 
 def ray_distance(r1: Ray, r2: Ray) -> float:

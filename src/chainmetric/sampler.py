@@ -11,7 +11,6 @@ from :mod:`chainmetric.core` closing the bracket from below.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -21,7 +20,13 @@ from . import rays as _rays
 from .core import Chain, MetricContext
 from .finite import shortest_paths
 from .rays import ConeParam, psi, psi_matrix, ray_of, ray_through
-from .std_map import harmonic_radius, phi_std, phi_std_matrix, sphere_bracket
+from .std_map import (
+    harmonic_radius,
+    pairwise_distances,
+    phi_std,
+    phi_std_matrix,
+    sphere_bracket,
+)
 
 
 @dataclass(frozen=True)
@@ -47,23 +52,22 @@ class SamplerConfig:
 @dataclass(frozen=True)
 class EuclidContext(MetricContext):
     """Euclidean base metric with the origin anchor and one of the two
-    compactification weights; carries a vectorized pairwise link-cost path."""
+    compactification weights; ``link_matrix`` is the one vectorized link-cost
+    path on R^s, computing the distance matrix once for weight and link."""
 
     weight_kind: str = "std_phi"
     tau: float = 1e-9
     cone: Optional[ConeParam] = None
 
-    def weight_matrix(self, points: np.ndarray) -> np.ndarray:
-        if self.weight_kind == "std_phi":
-            return phi_std_matrix(points, self.tau)
-        return psi_matrix(points, self.cone, self.tau)
-
     def link_matrix(self, points: np.ndarray) -> np.ndarray:
         P = np.asarray(points, dtype=float)
-        D = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2)
+        D = pairwise_distances(P)
+        if self.weight_kind == "std_phi":
+            weight = phi_std_matrix(P, D, self.tau)
+        else:
+            weight = psi_matrix(P, D, self.cone, self.tau)
         inv = 1.0 / (1.0 + np.linalg.norm(P, axis=1))
-        detour = inv[:, None] + self.weight_matrix(P) + inv[None, :]
-        W = np.minimum(D, detour)
+        W = np.minimum(D, inv[:, None] + weight + inv[None, :])
         np.fill_diagonal(W, 0.0)
         return W
 
@@ -115,15 +119,14 @@ def _net_directions(config: SamplerConfig) -> np.ndarray:
     return dirs / np.linalg.norm(dirs, axis=1)[:, None]
 
 
-def _dedupe(points: list, provenance: list) -> NodeSet:
-    seen, keep_p, keep_t = {}, [], []
-    for p, tag in zip(points, provenance):
-        key = tuple(np.round(np.asarray(p, float), 12))
-        if key not in seen:
-            seen[key] = True
-            keep_p.append(np.asarray(p, float))
-            keep_t.append(tag)
-    return NodeSet(points=np.array(keep_p), provenance=keep_t)
+def _dedupe(points, provenance: list) -> NodeSet:
+    """Keep the first of the points that agree to 12 decimals, in order."""
+    P = np.asarray(points, dtype=float)
+    first = {}
+    for i, key in enumerate(map(tuple, np.round(P, 12).tolist())):
+        first.setdefault(key, i)
+    keep = list(first.values())
+    return NodeSet(points=P[keep], provenance=[provenance[i] for i in keep])
 
 
 def build_sample(
@@ -168,26 +171,19 @@ def build_sample(
         if n < 1.0:
             continue
         m = sphere_bracket(n) if n > 1.0 else 1
-        if weight_kind == "std_phi":
-            u = e / n
-            for j in (m, m + 1):
-                pts.append(harmonic_radius(j) * u)
-                prov.append(f"sphere({j})")
-            for j in range(1, M + 1):
-                pts.append(harmonic_radius(j) * u)
-                prov.append("radial")
-            anchor_pt = u
+        if weight_kind == "std_phi":  # the identification map through e
+            anchor_pt, ladder = e / n, "radial"
+            at = lambda j: harmonic_radius(j) * anchor_pt
         else:
             ray, _ = ray_through(e, cone)
-            for j in (m, m + 1):
-                t = _rays._ray_sphere_param(ray, harmonic_radius(j))
-                pts.append(ray.point_at(t))
-                prov.append(f"sphere({j})")
-            for j in range(1, M + 1):
-                t = _rays._ray_sphere_param(ray, harmonic_radius(j))
-                pts.append(ray.point_at(t))
-                prov.append("ray-ladder")
-            anchor_pt = ray.base
+            anchor_pt, ladder = ray.base, "ray-ladder"
+            at = lambda j: ray.point_at(_rays._ray_sphere_param(ray, harmonic_radius(j)))
+        for j in (m, m + 1):
+            pts.append(at(j))
+            prov.append(f"sphere({j})")
+        for j in range(1, M + 1):
+            pts.append(at(j))
+            prov.append(ladder)
         for j in range(1, config.radial_steps + 1):
             f = j / (config.radial_steps + 1)
             pts.append((1.0 - f) * anchor_pt + f * e)
@@ -234,8 +230,7 @@ def build_graph(ctx: EuclidContext, nodes: NodeSet, mode: str = "auto") -> Sampl
     if mode == "complete":
         return SampleGraph(ctx=ctx, nodes=nodes, mode=mode, link=W)
 
-    P = nodes.points
-    D = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2)
+    D = pairwise_distances(nodes.points)
     keep = np.zeros((n, n), dtype=bool)
     k = min(6, n - 1)
     nearest = np.argsort(D, axis=1, kind="stable")[:, 1 : k + 1]
@@ -273,9 +268,7 @@ def approx_dphi(graph: SampleGraph, x, y) -> tuple[float, Chain]:
 
 
 def _merge(a: NodeSet, b: NodeSet) -> NodeSet:
-    return _dedupe(
-        list(a.points) + list(b.points), list(a.provenance) + list(b.provenance)
-    )
+    return _dedupe(np.vstack([a.points, b.points]), a.provenance + b.provenance)
 
 
 def convergence_run(
@@ -307,26 +300,21 @@ def convergence_run(
     return rows
 
 
-def _dijkstra(adjacency, source: int) -> np.ndarray:
-    n = len(adjacency)
-    dist = np.full(n, np.inf)
+def _bellman_ford(W: np.ndarray, source: int) -> np.ndarray:
+    """Distances from ``source`` over a dense nonnegative cost matrix, by
+    Bellman-Ford rounds (at most n - 1).  Path sums accumulate left to right,
+    so the floats are Dijkstra's; on graphs of at most 9 nodes it is faster."""
+    dist = np.full(len(W), np.inf)
     dist[source] = 0.0
-    done = np.zeros(n, dtype=bool)
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, w in adjacency[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
+    for _ in range(len(W) - 1):
+        relaxed = np.minimum(dist, (dist[:, None] + W).min(axis=0))
+        if np.array_equal(relaxed, dist):
+            break
+        dist = relaxed
     return dist
 
 
-def make_net_solver(k: int, ctx: Optional[EuclidContext] = None):
+def make_net_solver(k: int):
     """Coverage solver for epsilon-net verification.
 
     For a sample point, assembles the projection / identification chain
@@ -337,7 +325,6 @@ def make_net_solver(k: int, ctx: Optional[EuclidContext] = None):
 
     def solve(x, centers) -> float:
         x = np.asarray(x, dtype=float)
-        local = ctx or euclid_context("std_phi", dim=len(x))
         n = float(np.linalg.norm(x))
         pts = [x]
         cand = [int(np.argmin(np.linalg.norm(centers - x, axis=1)))]
@@ -352,12 +339,8 @@ def make_net_solver(k: int, ctx: Optional[EuclidContext] = None):
         first_center = len(pts)
         for c in dict.fromkeys(cand):
             pts.append(np.asarray(centers[c], dtype=float))
-        W = local.link_matrix(np.array(pts))
-        # On these graphs of at most 9 nodes a heap beats the dense kernel.
-        adjacency = [
-            [(j, W[i, j]) for j in range(len(pts)) if j != i] for i in range(len(pts))
-        ]
-        dist = _dijkstra(adjacency, 0)
+        ctx = euclid_context("std_phi", dim=len(x))
+        dist = _bellman_ford(ctx.link_matrix(np.array(pts)), 0)
         return float(dist[first_center:].min())
 
     return solve

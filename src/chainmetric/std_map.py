@@ -41,20 +41,24 @@ def harmonic_radius(m: int) -> float:
     return float(_radii_upto(m)[m - 1])
 
 
-def sphere_index(
-    norm: float, tau: float = 1e-9, m_max: int = M_MAX_DEFAULT
-) -> Optional[int]:
-    """Index m with |norm - a_m| <= tau * a_m, or None if off every sphere."""
-    if norm < 1.0 - tau:
-        return None
+def sphere_index(norms, tau: float = 1e-9, m_max: int = M_MAX_DEFAULT) -> np.ndarray:
+    """Index m with |norm - a_m| <= tau * a_m for each of ``norms``, or 0 where
+    a norm is off every sphere; the result has the shape of ``norms``."""
+    norms = np.asarray(norms, dtype=float)
+    idx = np.zeros(norms.shape, dtype=int)
+    live = ~(norms < 1.0 - tau)  # NaN stays live and matches no sphere
+    if not np.any(live):
+        return idx
+    top = np.fmax.reduce(norms[live])
     radii = _radii_upto(min(m_max, 1024))
-    while radii[-1] < norm * (1.0 + tau) and len(radii) < m_max:
+    while radii[-1] < top * (1.0 + tau) and len(radii) < m_max:
         radii = _radii_upto(min(m_max, 2 * len(radii)))
-    pos = int(np.searchsorted(radii, norm))
-    for m in (pos, pos + 1):
-        if 1 <= m <= len(radii) and abs(norm - radii[m - 1]) <= tau * radii[m - 1]:
-            return m
-    return None
+    pos = np.searchsorted(radii, norms)  # a_pos < norm <= a_{pos+1}
+    for cand in (pos + 1, pos):  # the lower sphere wins a shared band
+        a = radii[np.clip(cand, 1, len(radii)) - 1]
+        hit = live & (cand >= 1) & (cand <= len(radii)) & (np.abs(norms - a) <= tau * a)
+        idx = np.where(hit, cand, idx)
+    return idx
 
 
 def sphere_bracket(norm: float, m_max: int = M_MAX_DEFAULT) -> int:
@@ -79,14 +83,40 @@ def h_pq_std(x, p: int, q: int, tau: float = 1e-9) -> np.ndarray:
     return (aq / ap) * x
 
 
+def pairwise_distances(P: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix between the rows of ``P``, summed one
+    coordinate at a time (no n x n x s temporary); for s <= 7 that is
+    ``np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2)`` bit for bit."""
+    P = np.asarray(P, dtype=float)
+    sq = np.zeros((len(P), len(P)))
+    for c in P.T:
+        d = c[:, None] - c[None, :]
+        sq += d * d
+    return np.sqrt(sq)
+
+
+def sphere_weight(D, idx, base_dist, same_cost, tau: float) -> np.ndarray:
+    """The weight law of both compactifications: a pair pays its Euclidean
+    distance ``D`` unless both nodes lie on spheres (``idx > 0``); then it
+    pays ``same_cost`` on a shared sphere, and 0 when its identification
+    bases are at most ``tau`` apart (``base_dist``)."""
+    W = D.copy()
+    on = idx > 0
+    both = on[:, None] & on[None, :]
+    same = both & (idx[:, None] == idx[None, :])
+    W[same] = same_cost[same]
+    W[both & (base_dist <= tau)] = 0.0
+    return W
+
+
 def phi_std(x, y, tau: float = 1e-9) -> float:
     """Radial weight: 0 on identified pairs, rescaled chord on a shared sphere,
     Euclidean distance otherwise.  Cases are tested in that order."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
-    p, q = sphere_index(nx, tau), sphere_index(ny, tau)
-    if p is not None and q is not None:
+    p, q = sphere_index([nx, ny], tau)
+    if p and q:
         if float(np.linalg.norm(x / nx - y / ny)) <= tau:
             return 0.0
         if p == q:
@@ -94,26 +124,17 @@ def phi_std(x, y, tau: float = 1e-9) -> float:
     return float(np.linalg.norm(x - y))
 
 
-def phi_std_matrix(points: np.ndarray, tau: float = 1e-9) -> np.ndarray:
-    """Vectorized pairwise weight over a point set (rows of ``points``)."""
+def phi_std_matrix(points, D, tau: float = 1e-9) -> np.ndarray:
+    """Radial weight over a point set (rows of ``points``) whose distance
+    matrix is ``D``: identification compares radial unit vectors, and a shared
+    sphere m rescales the chord by 1/a_m."""
     P = np.asarray(points, dtype=float)
     norms = np.linalg.norm(P, axis=1)
-    idx = np.array([sphere_index(n, tau) or 0 for n in norms])  # 0 = off-sphere
-    diff = P[:, None, :] - P[None, :, :]
-    D = np.linalg.norm(diff, axis=2)
-    W = D.copy()
-    on = idx > 0
-    same = on[:, None] & on[None, :] & (idx[:, None] == idx[None, :])
-    if np.any(same):
-        radii = _radii_upto(int(idx.max()))
-        am = np.where(on, radii[np.maximum(idx, 1) - 1], 1.0)
-        W[same] = (D / am[:, None])[same]
-    both = on[:, None] & on[None, :]
-    if np.any(both):
-        units = P / np.where(norms > 0, norms, 1.0)[:, None]
-        udist = np.linalg.norm(units[:, None, :] - units[None, :, :], axis=2)
-        W[both & (udist <= tau)] = 0.0
-    return W
+    idx = sphere_index(norms, tau)
+    radii = _radii_upto(int(idx.max(initial=1)))
+    am = np.where(idx > 0, radii[np.maximum(idx, 1) - 1], 1.0)
+    units = P / np.where(norms > 0, norms, 1.0)[:, None]
+    return sphere_weight(D, idx, pairwise_distances(units), D / am[:, None], tau)
 
 
 @dataclass(frozen=True)
@@ -190,14 +211,9 @@ def _sphere_net(radius: float, spacing: float, s: int) -> np.ndarray:
     norms = np.linalg.norm(mesh, axis=1)
     keep = np.abs(norms - radius) <= spacing / 2.0
     pts = mesh[keep] * (radius / norms[keep])[:, None]
-    # Dedupe projected points that collapsed together.
-    seen, out = set(), []
-    for p in pts:
-        key = tuple(np.round(p / (spacing / 4.0)).astype(int))
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    return np.array(out)
+    # Dedupe projected points that collapsed together, keeping the first.
+    cells = np.round(pts / (spacing / 4.0)).astype(int)
+    return pts[np.sort(np.unique(cells, axis=0, return_index=True)[1])]
 
 
 def _ball_net(radius: float, spacing: float, s: int) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Loop-per-element reference implementations for the vectorized kernels.
 
 These are the scalar algorithms the library used before its batched
-kernels: one bisection per point for the ray base, and a binary-heap
-Dijkstra per source.  They exist only so the tests can hold the kernels
-to them.
+kernels: one sphere lookup per norm, one bisection per point for the ray
+base, and a binary-heap Dijkstra per source.  They exist only so the tests
+can hold the kernels to them.
 """
 from __future__ import annotations
 
@@ -12,6 +12,21 @@ import heapq
 import numpy as np
 
 from chainmetric.rays import ConeParam, _point_to_ray_distance, ray_of
+from chainmetric.std_map import M_MAX_DEFAULT, _radii_upto
+
+
+def sphere_index_reference(norm: float, tau: float = 1e-9, m_max: int = M_MAX_DEFAULT):
+    """Index m with |norm - a_m| <= tau * a_m, or None if off every sphere."""
+    if norm < 1.0 - tau:
+        return None
+    radii = _radii_upto(min(m_max, 1024))
+    while radii[-1] < norm * (1.0 + tau) and len(radii) < m_max:
+        radii = _radii_upto(min(m_max, 2 * len(radii)))
+    pos = int(np.searchsorted(radii, norm))
+    for m in (pos, pos + 1):
+        if 1 <= m <= len(radii) and abs(norm - radii[m - 1]) <= tau * radii[m - 1]:
+            return m
+    return None
 
 
 def ray_through_reference(y, cone: ConeParam, max_iter: int = 200):

@@ -117,6 +117,15 @@ class TestNet:
         assert result.exit_code == 2
 
 
+    def test_negative_samples_is_usage_error(self, runner):
+        result = invoke(runner, ["net", "--epsilon", "0.9", "--samples", "-5"])
+        assert result.exit_code == 2
+
+    def test_zero_samples_is_usage_error(self, runner):
+        result = invoke(runner, ["net", "--epsilon", "0.9", "--samples", "0"])
+        assert result.exit_code == 2
+
+
 class TestConverge:
     def test_table_is_monotone(self, runner):
         result = invoke(runner, ["--spheres", "3", "--resolution", "1.0",
@@ -197,6 +206,11 @@ class TestRaysSweep:
             assert sep >= floor - 1e-9
 
 
+    def test_zero_samples_is_usage_error(self, runner):
+        result = invoke(runner, ["rays", "--samples", "0"])
+        assert result.exit_code == 2
+
+
 class TestConfigAndDeterminism:
     def test_config_file_applies_and_flags_win(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -222,4 +236,10 @@ class TestConfigAndDeterminism:
     def test_missing_config_is_usage_error(self, runner):
         result = invoke(runner, ["--config", "/nonexistent.json",
                                  "dist", "1,0", "0,1"])
+        assert result.exit_code == 2
+
+    def test_non_object_config_is_usage_error(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        result = invoke(runner, ["--config", str(cfg), "dist", "1,0", "0,1"])
         assert result.exit_code == 2

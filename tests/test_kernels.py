@@ -1,5 +1,6 @@
-"""The batched ray inversion and the dense shortest-path kernel against
-their loop-per-element references and the brute-force oracle."""
+"""The batched kernels (sphere classification, pairwise distances, ray
+inversion, shortest paths) against their loop-per-element references and
+the brute-force oracle."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,14 +10,15 @@ from chainmetric.finite import dphi_bruteforce, dphi_exact, shortest_paths
 from chainmetric.rays import ConeParam, ray_bases, ray_of
 from chainmetric.sampler import (
     SamplerConfig,
+    _bellman_ford,
     build_graph,
     build_sample,
     euclid_context,
 )
-from chainmetric.std_map import harmonic_radius
+from chainmetric.std_map import harmonic_radius, pairwise_distances, sphere_index
 
 from conftest import random_finite_space
-from reference import dijkstra_reference, ray_through_reference
+from reference import dijkstra_reference, ray_through_reference, sphere_index_reference
 
 deltas = st.floats(0.1, 0.75)
 dims = st.sampled_from([2, 3])
@@ -29,6 +31,54 @@ def unit_at(polar: float, azimuth: float, dim: int) -> np.ndarray:
         return np.array([np.cos(polar), np.copysign(np.sin(polar), np.cos(azimuth))])
     return np.array([np.cos(polar), np.sin(polar) * np.cos(azimuth),
                      np.sin(polar) * np.sin(azimuth)])
+
+
+taus = st.sampled_from([1e-9, 1e-6, 1e-3])
+
+
+@st.composite
+def norms_near_spheres(draw, tau):
+    """Norms on the tau band of a sphere and just outside it, below the first
+    sphere, between two spheres, and beyond the last one, inf and NaN."""
+    m = draw(st.integers(1, 5000))
+    a, b = harmonic_radius(m), harmonic_radius(m + 1)
+    return draw(st.sampled_from([
+        a, a * (1.0 - tau), a * (1.0 + tau), a * (1.0 - 1.01 * tau), a * (1.0 + 1.01 * tau),
+        0.5 * (a + b), 1.0 - tau, 1.0 - 2.0 * tau, 0.0,
+        draw(st.floats(0.0, 1.0 - 2.0 * tau)),
+        draw(st.floats(harmonic_radius(10**6) * 1.001, 1e300)),
+        np.inf, np.nan,
+    ]))
+
+
+class TestSphereIndex:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), tau=taus)
+    def test_matches_scalar_lookup(self, data, tau):
+        norms = data.draw(st.lists(norms_near_spheres(tau), min_size=1, max_size=8))
+        idx = sphere_index(np.array(norms), tau)
+        expected = [sphere_index_reference(v, tau) or 0 for v in norms]
+        assert idx.dtype.kind == "i"
+        assert idx.tolist() == expected
+
+    def test_one_large_norm_grows_the_table_for_the_others(self, monkeypatch):
+        monkeypatch.setattr("chainmetric.std_map._RADII", np.array([1.0]))
+        norms = [harmonic_radius(3), 1.2, harmonic_radius(5000), 0.5]
+        assert sphere_index(np.array(norms)).tolist() == [3, 0, 5000, 0]
+
+    def test_scalar_norm_gives_a_scalar_index(self):
+        assert sphere_index(harmonic_radius(7)).shape == ()
+        assert sphere_index(harmonic_radius(7)) == 7
+
+
+class TestPairwiseDistances:
+    @pytest.mark.parametrize("s", range(2, 8))
+    @pytest.mark.parametrize("n", [1, 2, 9, 60])
+    def test_bit_equal_to_norm_of_differences(self, s, n):
+        rng = np.random.default_rng(100 * s + n)
+        P = rng.normal(size=(n, s)) * rng.uniform(0.01, 50.0, size=(n, 1))
+        expected = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2)
+        assert np.array_equal(pairwise_distances(P), expected)
 
 
 class TestRayBases:
@@ -113,6 +163,15 @@ class TestShortestPaths:
             while v != s:
                 assert pred[0, v] == ref_pred[v]
                 v = int(pred[0, v])
+
+
+class TestNetSolverRounds:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 9), masked=st.booleans(), seed=seeds)
+    def test_equal_heap_reference(self, n, masked, seed):
+        W = random_costs(np.random.default_rng(seed), n, masked)
+        for s in range(n):
+            assert np.array_equal(_bellman_ford(W, s), dijkstra_reference(W, s)[0])
 
 
 class TestDphiExact:

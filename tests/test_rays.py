@@ -16,7 +16,7 @@ from chainmetric.rays import (
     spherical_distance,
     spherical_to_cartesian,
 )
-from chainmetric.std_map import harmonic_radius
+from chainmetric.std_map import harmonic_radius, pairwise_distances
 
 
 @pytest.fixture
@@ -181,7 +181,7 @@ class TestRayWeight:
         base = unit([np.cos(1.0), np.sin(1.0)])
         pts += [base, h_pq_ray(base, 3, cone2), np.array([1.5, 0.0])]
         P = np.array(pts)
-        W = psi_matrix(P, cone2)
+        W = psi_matrix(P, pairwise_distances(P), cone2)
         for i in range(len(P)):
             for j in range(len(P)):
                 assert W[i, j] == pytest.approx(psi(P[i], P[j], cone2), abs=1e-12)

@@ -9,6 +9,7 @@ from chainmetric.std_map import (
     h_pq_std,
     harmonic_radius,
     net_index,
+    pairwise_distances,
     phi_std,
     phi_std_matrix,
     sphere_bracket,
@@ -43,8 +44,8 @@ class TestSphereClassification:
             assert sphere_index(harmonic_radius(m)) == m
 
     def test_off_sphere_is_none(self):
-        assert sphere_index(0.5) is None
-        assert sphere_index(1.2) is None  # between a_1 = 1 and a_2 = 1.5
+        assert sphere_index(0.5) == 0
+        assert sphere_index(1.2) == 0  # between a_1 = 1 and a_2 = 1.5
 
     def test_bracket(self):
         assert sphere_bracket(2.0) == 3  # a_3 ~ 1.833 <= 2 < a_4 ~ 2.083
@@ -104,7 +105,7 @@ class TestStdWeight:
         pts += [harmonic_radius(m) * np.array([np.cos(t), np.sin(t)])
                 for m, t in ((1, 0.0), (1, 1.0), (3, 0.0), (3, 2.0), (5, 0.0))]
         P = np.array(pts)
-        W = phi_std_matrix(P)
+        W = phi_std_matrix(P, pairwise_distances(P))
         for i in range(len(P)):
             for j in range(len(P)):
                 assert W[i, j] == pytest.approx(phi_std(P[i], P[j]), abs=1e-12)
