@@ -22,15 +22,15 @@ M_MAX_DEFAULT = 10**6
 
 
 def _radii_upto(m: int) -> np.ndarray:
-    """Cached harmonic partial sums a_1..a_m, accumulated in increasing term order."""
+    """Cached harmonic partial sums a_1..a_m.  A grown table is summed afresh
+    (cumsum is sequential), so a_m = a_{m-1} + 1/m exactly, whatever order
+    the table grew in."""
     global _RADII
     if m > len(_RADII):
         with _RADII_LOCK:
             if m > len(_RADII):
-                start = len(_RADII)
-                grow_to = max(m, 2 * start)
-                terms = 1.0 / np.arange(start + 1, grow_to + 1)
-                _RADII = np.concatenate([_RADII, _RADII[-1] + np.cumsum(terms)])
+                grow_to = max(m, 2 * len(_RADII))
+                _RADII = np.cumsum(1.0 / np.arange(1, grow_to + 1))
     return _RADII[:m]
 
 

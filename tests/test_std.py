@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chainmetric import std_map
 from chainmetric.std_map import (
     BoundaryRepStd,
     boundary_map_h_std,
@@ -32,6 +33,18 @@ class TestHarmonicRadius:
             assert harmonic_radius(m + 1) - harmonic_radius(m) == pytest.approx(
                 1.0 / (m + 1), abs=1e-12
             )
+
+    def test_radii_do_not_depend_on_growth_order(self, monkeypatch):
+        top = 70_000
+        expected, a = [], 0.0
+        for m in range(1, top + 1):
+            a += 1.0 / m
+            expected.append(a)
+        for steps in ([top], [2, 5, 1024, 3000, 40_000, top]):
+            monkeypatch.setattr(std_map, "_RADII", np.array([1.0]))
+            for m in steps:
+                std_map._radii_upto(m)
+            assert std_map._radii_upto(top).tolist() == expected
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
