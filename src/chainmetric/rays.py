@@ -234,10 +234,8 @@ def psi_matrix(points, D, cone: ConeParam, tau: float = 1e-9) -> np.ndarray:
     is ``D``: identification and a shared sphere both compare ray bases."""
     P = np.asarray(points, dtype=float)
     idx = sphere_index(np.linalg.norm(P, axis=1), tau)
-    on = idx > 0
     bases = np.zeros_like(P)
-    if np.any(on):
-        bases[on] = ray_bases(P[on], cone)
+    bases[idx > 0] = ray_bases(P[idx > 0], cone)
     base_dist = pairwise_distances(bases)
     return sphere_weight(D, idx, base_dist, base_dist, tau)
 

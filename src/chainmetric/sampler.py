@@ -302,8 +302,8 @@ def convergence_run(
 
 def _bellman_ford(W: np.ndarray, source: int) -> np.ndarray:
     """Distances from ``source`` over a dense nonnegative cost matrix, by
-    Bellman-Ford rounds (at most n - 1).  Path sums accumulate left to right,
-    so the floats are Dijkstra's; on graphs of at most 9 nodes it is faster."""
+    Bellman-Ford rounds (at most n - 1) for the net solver's graphs of at most
+    9 nodes.  Path sums accumulate left to right, so the floats are Dijkstra's."""
     dist = np.full(len(W), np.inf)
     dist[source] = 0.0
     for _ in range(len(W) - 1):

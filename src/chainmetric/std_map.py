@@ -131,8 +131,7 @@ def phi_std_matrix(points, D, tau: float = 1e-9) -> np.ndarray:
     P = np.asarray(points, dtype=float)
     norms = np.linalg.norm(P, axis=1)
     idx = sphere_index(norms, tau)
-    radii = _radii_upto(int(idx.max(initial=1)))
-    am = np.where(idx > 0, radii[np.maximum(idx, 1) - 1], 1.0)
+    am = _radii_upto(int(idx.max(initial=1)))[np.maximum(idx, 1) - 1]
     units = P / np.where(norms > 0, norms, 1.0)[:, None]
     return sphere_weight(D, idx, pairwise_distances(units), D / am[:, None], tau)
 
