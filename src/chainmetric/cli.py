@@ -71,7 +71,6 @@ def _sampler_config(opts: dict, dim: int) -> SamplerConfig:
         max_sphere_index=int(opts.get("max_sphere_index", 5)),
         angular_resolution=float(opts.get("angular_resolution", 0.5)),
         radial_steps=int(opts.get("radial_steps", 2)),
-        graph_mode=opts.get("graph_mode", "auto"),
         seed=int(opts.get("seed", 0)),
     )
 
@@ -102,8 +101,6 @@ def _emit(text: str, output) -> None:
 @click.option("--resolution", "angular_resolution", type=float, default=None)
 @click.option("--spheres", "max_sphere_index", type=int, default=None)
 @click.option("--radial-steps", type=int, default=None)
-@click.option("--mode", "graph_mode", type=click.Choice(["complete", "structured", "auto"]),
-              default=None)
 @click.option("--output", type=click.Path(), default=None)
 @click.pass_context
 def main(ctx, config_path, **flags):
@@ -129,7 +126,7 @@ def dist(opts, x, y):
         nodes = build_sample(cfg, [px, py], ectx.weight_kind, ectx.cone)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    graph = build_graph(ectx, nodes, cfg.graph_mode)
+    graph = build_graph(ectx, nodes)
     value, witness = approx_dphi(graph, px, py)
     lower = lower_bound_certificate(ectx, px, py)
     cert = certificate(ectx, px, py)

@@ -77,7 +77,7 @@ def _default_solver(ctx: EuclidContext, config: Optional[SamplerConfig] = None):
             angular_resolution=1.0,
         )
         nodes = build_sample(cfg, [x, y], ctx.weight_kind, ctx.cone)
-        graph = build_graph(ctx, nodes, cfg.graph_mode)
+        graph = build_graph(ctx, nodes)
         value, _ = approx_dphi(graph, x, y)
         return value
 

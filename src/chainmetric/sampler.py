@@ -35,7 +35,6 @@ class SamplerConfig:
     max_sphere_index: int = 5
     angular_resolution: float = 0.5
     radial_steps: int = 2
-    graph_mode: str = "auto"  # complete | structured | auto
     seed: int = 0
 
     def __post_init__(self):
@@ -45,8 +44,8 @@ class SamplerConfig:
             raise ValueError("max_sphere_index must be >= 1")
         if self.angular_resolution <= 0:
             raise ValueError("angular_resolution must be positive")
-        if self.graph_mode not in ("complete", "structured", "auto"):
-            raise ValueError(f"unknown graph mode {self.graph_mode!r}")
+        if self.radial_steps < 0:
+            raise ValueError(f"radial_steps must be >= 0, got {self.radial_steps}")
 
 
 @dataclass(frozen=True)
@@ -193,61 +192,28 @@ def build_sample(
 
 @dataclass
 class SampleGraph:
-    """Link-cost graph over a node set; shortest paths certify upper bounds.
+    """Complete link-cost graph over a node set; shortest paths certify upper
+    bounds, and every extra pair can only tighten them."""
 
-    ``link[i, j]`` is the link cost of a retained pair and ``inf`` for a
-    pair the graph mode dropped.
-    """
-
-    ctx: EuclidContext
     nodes: NodeSet
-    mode: str
     link: np.ndarray = field(repr=False)
+    # A class constant, not a field: perfbench's build_graph counter reads it.
+    mode = "complete"
 
-    def node_index(self, x, tol: float = 1e-9) -> int:
+    def node_index(self, x) -> int:
         x = np.asarray(x, dtype=float)
         d = np.linalg.norm(self.nodes.points - x, axis=1)
         i = int(np.argmin(d))
-        if d[i] > tol:
+        if d[i] > 1e-9:
             raise KeyError(f"point {x} is not a graph node (nearest at {d[i]})")
         return i
 
 
-def build_graph(ctx: EuclidContext, nodes: NodeSet, mode: str = "auto") -> SampleGraph:
-    """Weight every retained node pair with the link cost.
-
-    Complete mode keeps all pairs.  Structured mode keeps same-sphere and
-    nearby Euclidean neighbors, zero-weight identification links and every
-    edge incident to an endpoint; cheaper for large samples and validated
-    against complete mode in the tests.
-    """
-    n = len(nodes)
-    if n < 2:
+def build_graph(ctx: EuclidContext, nodes: NodeSet) -> SampleGraph:
+    """Weight every node pair with the link cost."""
+    if len(nodes) < 2:
         raise ValueError("need at least 2 nodes")
-    if mode == "auto":
-        mode = "complete" if n <= 2000 else "structured"
-    W = ctx.link_matrix(nodes.points)
-    if mode == "complete":
-        return SampleGraph(ctx=ctx, nodes=nodes, mode=mode, link=W)
-
-    D = pairwise_distances(nodes.points)
-    keep = np.zeros((n, n), dtype=bool)
-    k = min(6, n - 1)
-    nearest = np.argsort(D, axis=1, kind="stable")[:, 1 : k + 1]
-    keep[np.arange(n)[:, None], nearest] = True
-    # Identification and same-sphere structure: keep every pair whose weight
-    # drops below the Euclidean distance, plus same-sphere near neighbors.
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    keep |= upper & (W < D - 1e-15)
-    ends = np.array([tag == "endpoint" for tag in nodes.provenance])
-    keep[ends, :] = True
-    keep |= keep.T
-    np.fill_diagonal(keep, False)
-    # link_matrix can differ from its transpose in the last bit; mirroring the
-    # upper triangle gives each kept pair one cost in both directions.
-    link = np.where(keep, np.where(upper, W, W.T), np.inf)
-    np.fill_diagonal(link, 0.0)
-    return SampleGraph(ctx=ctx, nodes=nodes, mode=mode, link=link)
+    return SampleGraph(nodes=nodes, link=ctx.link_matrix(nodes.points))
 
 
 def approx_dphi(graph: SampleGraph, x, y) -> tuple[float, Chain]:
@@ -294,7 +260,7 @@ def convergence_run(
         )
         fresh = build_sample(cfg, [x, y], ctx.weight_kind, ctx.cone)
         nodes = fresh if nodes is None else _merge(nodes, fresh)
-        graph = build_graph(ctx, nodes, config.graph_mode)
+        graph = build_graph(ctx, nodes)
         value, _ = approx_dphi(graph, x, y)
         rows.append((level, len(nodes), value))
     return rows
@@ -344,17 +310,3 @@ def make_net_solver(k: int):
         return float(dist[first_center:].min())
 
     return solve
-
-
-def dump_edges(graph: SampleGraph, fh) -> None:
-    """Edge list, one 'i j weight' line per edge, 17 significant digits."""
-    L = graph.link
-    for i, j in zip(*np.nonzero(np.triu(np.isfinite(L), 1))):
-        fh.write(f"{i} {j} {L[i, j]:.17g}\n")
-
-
-def dump_nodes(graph: SampleGraph, fh) -> None:
-    """Node table: index, coordinates, provenance."""
-    for i, (p, tag) in enumerate(zip(graph.nodes.points, graph.nodes.provenance)):
-        coords = " ".join(f"{v:.17g}" for v in p)
-        fh.write(f"{i} {coords} {tag}\n")

@@ -41,7 +41,7 @@ def harmonic_radius(m: int) -> float:
     return float(_radii_upto(m)[m - 1])
 
 
-def sphere_index(norms, tau: float = 1e-9, m_max: int = M_MAX_DEFAULT) -> np.ndarray:
+def sphere_index(norms, tau: float = 1e-9) -> np.ndarray:
     """Index m with |norm - a_m| <= tau * a_m for each of ``norms``, or 0 where
     a norm is off every sphere; the result has the shape of ``norms``."""
     norms = np.asarray(norms, dtype=float)
@@ -50,9 +50,9 @@ def sphere_index(norms, tau: float = 1e-9, m_max: int = M_MAX_DEFAULT) -> np.nda
     if not np.any(live):
         return idx
     top = np.fmax.reduce(norms[live])
-    radii = _radii_upto(min(m_max, 1024))
-    while radii[-1] < top * (1.0 + tau) and len(radii) < m_max:
-        radii = _radii_upto(min(m_max, 2 * len(radii)))
+    radii = _radii_upto(1024)
+    while radii[-1] < top * (1.0 + tau) and len(radii) < M_MAX_DEFAULT:
+        radii = _radii_upto(min(M_MAX_DEFAULT, 2 * len(radii)))
     pos = np.searchsorted(radii, norms)  # a_pos < norm <= a_{pos+1}
     for cand in (pos + 1, pos):  # the lower sphere wins a shared band
         a = radii[np.clip(cand, 1, len(radii)) - 1]
@@ -61,15 +61,15 @@ def sphere_index(norms, tau: float = 1e-9, m_max: int = M_MAX_DEFAULT) -> np.nda
     return idx
 
 
-def sphere_bracket(norm: float, m_max: int = M_MAX_DEFAULT) -> int:
+def sphere_bracket(norm: float) -> int:
     """Index m with a_m <= norm < a_{m+1}; requires norm >= 1."""
     if norm < 1.0:
         raise ValueError(f"norm {norm} below the first sphere radius")
     radii = _radii_upto(1024)
-    while radii[-1] <= norm and len(radii) < m_max:
-        radii = _radii_upto(min(m_max, 2 * len(radii)))
+    while radii[-1] <= norm and len(radii) < M_MAX_DEFAULT:
+        radii = _radii_upto(min(M_MAX_DEFAULT, 2 * len(radii)))
     if radii[-1] <= norm:
-        raise ValueError(f"norm {norm} beyond sphere index cap {m_max}")
+        raise ValueError(f"norm {norm} beyond sphere index cap {M_MAX_DEFAULT}")
     return int(np.searchsorted(radii, norm, side="right"))
 
 

@@ -128,7 +128,7 @@ def test_criterion_04_local_isometry():
             y = x + random_unit(rng, s) * rng.uniform(0.0, r / 3.0)
             z = x + random_unit(rng, s) * rng.uniform(0.0, r / 3.0)
             nodes = build_sample(cfg, [y, z])
-            graph = build_graph(ctx, nodes, "complete")
+            graph = build_graph(ctx, nodes)
             value, _ = approx_dphi(graph, y, z)
             assert abs(value - np.linalg.norm(y - z)) <= 1e-9
             checked += 1
@@ -160,7 +160,7 @@ def test_criterion_06_cauchy_decay():
         from chainmetric.sampler import NodeSet
 
         nodes = NodeSet(points=pts, provenance=["radial"] * 30)
-        graph = build_graph(ctx, nodes, "complete")
+        graph = build_graph(ctx, nodes)
         for i in range(1, 31):
             for j in range(i + 1, 31):
                 value, _ = approx_dphi(graph, pts[i - 1], pts[j - 1])

@@ -69,6 +69,10 @@ class TestDist:
         result = invoke(runner, ["--weight", "ray_psi", "dist", "0,20", "0,1"])
         assert result.exit_code == 2
 
+    def test_negative_radial_steps_is_usage_error(self, runner):
+        result = invoke(runner, ["--radial-steps", "-1", "dist", "3,0", "0,3"])
+        assert result.exit_code == 2
+
     def test_internal_value_error_is_not_usage_error(self, runner, monkeypatch):
         def broken(*args):
             raise ValueError("invalid bracket")
@@ -146,6 +150,10 @@ class TestConverge:
 
     def test_norm_beyond_sphere_cap_is_usage_error(self, runner):
         result = invoke(runner, ["converge", "20,0", "0,1"])
+        assert result.exit_code == 2
+
+    def test_negative_radial_steps_is_usage_error(self, runner):
+        result = invoke(runner, ["--radial-steps", "-1", "converge", "3,0", "0,3"])
         assert result.exit_code == 2
 
     def test_internal_value_error_is_not_usage_error(self, runner, monkeypatch):

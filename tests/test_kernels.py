@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 
 from chainmetric.finite import dphi_bruteforce, dphi_exact, shortest_paths
 from chainmetric.rays import ConeParam, ray_bases, ray_of
-from chainmetric.sampler import (
-    SamplerConfig,
-    _bellman_ford,
-    build_graph,
-    build_sample,
-    euclid_context,
-)
+from chainmetric.sampler import _bellman_ford
 from chainmetric.std_map import harmonic_radius, pairwise_distances, sphere_index
 
 from conftest import random_finite_space
@@ -184,41 +178,3 @@ class TestDphiExact:
         brute = dphi_bruteforce(ctx, space).values
         scale = float(np.max(space.distances))
         assert np.max(np.abs(exact - brute)) <= 1e-12 * scale
-
-
-class TestStructuredMask:
-    @pytest.mark.parametrize("weight_kind", ["std_phi", "ray_psi"])
-    def test_keeps_exactly_the_structured_pairs(self, weight_kind):
-        cfg = SamplerConfig(dimension=2, max_sphere_index=4,
-                            angular_resolution=0.4, radial_steps=2)
-        x = np.array([harmonic_radius(3), 0.4])
-        y = np.array([-0.3, 2.5])
-        ctx = euclid_context(weight_kind, dim=2)
-        nodes = build_sample(cfg, [x, y], weight_kind, ctx.cone)
-        graph = build_graph(ctx, nodes, "structured")
-        W = ctx.link_matrix(nodes.points)
-        P = nodes.points
-        D = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2)
-        n = len(P)
-
-        expected = set()
-        order = np.argsort(D, axis=1, kind="stable")
-        for i in range(n):
-            for j in order[i, 1:7]:
-                expected.add((min(i, int(j)), max(i, int(j))))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if W[i, j] < D[i, j] - 1e-15:
-                    expected.add((i, j))
-        for i, tag in enumerate(nodes.provenance):
-            if tag == "endpoint":
-                expected.update((min(i, j), max(i, j)) for j in range(n) if j != i)
-
-        kept = np.isfinite(graph.link)
-        np.fill_diagonal(kept, False)
-        assert np.array_equal(kept, kept.T)
-        found = {(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(kept, 1)))}
-        assert found == expected
-        assert len(expected) < n * (n - 1) // 2
-        for i, j in found:
-            assert graph.link[i, j] == graph.link[j, i] == W[i, j]

@@ -1,7 +1,7 @@
-import io
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainmetric.core import delta, local_isometry_radius, lower_bound_certificate
 from chainmetric.finite import dphi_exact
@@ -13,8 +13,6 @@ from chainmetric.sampler import (
     build_graph,
     build_sample,
     convergence_run,
-    dump_edges,
-    dump_nodes,
     euclid_context,
     make_net_solver,
 )
@@ -44,7 +42,7 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             SamplerConfig(angular_resolution=0.0)
         with pytest.raises(ValueError):
-            SamplerConfig(graph_mode="bogus")
+            SamplerConfig(radial_steps=-1)
 
 
 class TestBuildSample:
@@ -90,7 +88,7 @@ class TestBuildGraph:
     def test_two_node_graph_single_edge(self, std_ctx):
         nodes = NodeSet(points=np.array([[0.1, 0.0], [0.3, 0.0]]),
                         provenance=["endpoint", "endpoint"])
-        graph = build_graph(std_ctx, nodes, "complete")
+        graph = build_graph(std_ctx, nodes)
         assert np.isfinite(graph.link[0, 1:]).sum() == 1
         value, witness = approx_dphi(graph, nodes.points[0], nodes.points[1])
         assert value == pytest.approx(
@@ -101,22 +99,9 @@ class TestBuildGraph:
     def test_complete_edge_count(self, std_ctx, rng):
         pts = rng.normal(size=(9, 2))
         nodes = NodeSet(points=pts, provenance=["endpoint"] * 9)
-        graph = build_graph(std_ctx, nodes, "complete")
+        graph = build_graph(std_ctx, nodes)
         off_diagonal = ~np.eye(9, dtype=bool)
         assert np.isfinite(graph.link[off_diagonal]).sum() == 9 * 8
-
-    def test_structured_agrees_with_complete(self, std_ctx):
-        cfg = small_config(max_sphere_index=4, angular_resolution=0.15)
-        x = np.array([harmonic_radius(4), 0.0])
-        y = np.array([0.0, harmonic_radius(4)])
-        nodes = build_sample(cfg, [x, y])
-        assert len(nodes) >= 150
-        complete = build_graph(std_ctx, nodes, "complete")
-        structured = build_graph(std_ctx, nodes, "structured")
-        vc, _ = approx_dphi(complete, x, y)
-        vs, _ = approx_dphi(structured, x, y)
-        assert vs >= vc - 1e-12
-        assert vs <= vc * 1.02
 
 
 class TestApproxDphi:
@@ -140,7 +125,7 @@ class TestApproxDphi:
                             W[i, j] = delta(ctx, P[i], P[j])
                 return W
 
-        graph = build_graph(_Ctx, nodes, "complete")
+        graph = build_graph(_Ctx, nodes)
         value, _ = approx_dphi(graph, pts[1], pts[2])
         exact = dphi_exact(three_point_line.context(), three_point_line)
         assert value == pytest.approx(exact.values[1, 2], abs=1e-12)
@@ -151,7 +136,7 @@ class TestApproxDphi:
         y = np.array([a100, 0.0])
         cfg = small_config(max_sphere_index=2)
         nodes = build_sample(cfg, [x, y])
-        graph = build_graph(std_ctx, nodes, "complete")
+        graph = build_graph(std_ctx, nodes)
         value, _ = approx_dphi(graph, x, y)
         cap = 0.5 + 1.0 / (1.0 + a100)  # radial identification detour
         assert value <= cap + 1e-12
@@ -162,7 +147,7 @@ class TestApproxDphi:
         for _ in range(10):
             x, y = rng.normal(size=2, scale=3), rng.normal(size=2, scale=3)
             nodes = build_sample(cfg, [x, y])
-            graph = build_graph(std_ctx, nodes, "complete")
+            graph = build_graph(std_ctx, nodes)
             value, _ = approx_dphi(graph, x, y)
             assert value <= delta(std_ctx, x, y) + 1e-12
             assert value >= lower_bound_certificate(std_ctx, x, y) - 1e-12
@@ -171,13 +156,13 @@ class TestApproxDphi:
         cfg = small_config()
         x, y = np.array([2.0, 0.5]), np.array([-1.5, 1.0])
         nodes = build_sample(cfg, [x, y])
-        graph = build_graph(std_ctx, nodes, "complete")
+        graph = build_graph(std_ctx, nodes)
         v1, _ = approx_dphi(graph, x, y)
         extra = NodeSet(
             points=np.vstack([nodes.points, rng.normal(size=(10, 2), scale=2)]),
             provenance=nodes.provenance + ["radial"] * 10,
         )
-        graph2 = build_graph(std_ctx, extra, "complete")
+        graph2 = build_graph(std_ctx, extra)
         v2, _ = approx_dphi(graph2, x, y)
         assert v2 <= v1 + 1e-12
 
@@ -189,7 +174,7 @@ class TestApproxDphi:
             y = x + rng.normal(size=2) * (0.3 * r / 2.0)
             z = x + rng.normal(size=2) * (0.3 * r / 2.0)
             nodes = build_sample(cfg, [y, z])
-            graph = build_graph(std_ctx, nodes, "complete")
+            graph = build_graph(std_ctx, nodes)
             value, _ = approx_dphi(graph, y, z)
             assert value == pytest.approx(np.linalg.norm(y - z), abs=1e-9)
 
@@ -209,6 +194,25 @@ class TestConvergenceRun:
         counts = [r[1] for r in rows]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        weight_kind=st.sampled_from(["std_phi", "ray_psi"]),
+        log_norms=st.tuples(st.floats(np.log(0.5), np.log(12.0)),
+                            st.floats(np.log(0.5), np.log(12.0))),
+        angles=st.tuples(st.floats(0.0, 2.0 * np.pi), st.floats(0.0, 2.0 * np.pi)),
+    )
+    def test_refinement_never_raises_the_bound(self, weight_kind, log_norms, angles):
+        # Each level keeps every earlier node, so the complete graph's
+        # shortest path can only shorten.
+        x, y = (np.exp(r) * np.array([np.cos(a), np.sin(a)])
+                for r, a in zip(log_norms, angles))
+        ctx = euclid_context(weight_kind, dim=2)
+        rows = convergence_run(ctx, x, y, 3, SamplerConfig(dimension=2))
+        counts = [r[1] for r in rows]
+        values = [r[2] for r in rows]
+        assert all(b >= a for a, b in zip(counts, counts[1:]))
+        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
     def test_rejects_bad_levels(self, std_ctx):
         with pytest.raises(ValueError):
             convergence_run(std_ctx, np.zeros(2), np.ones(2), 0)
@@ -219,7 +223,7 @@ class TestCauchyDecay:
         u = np.array([np.cos(0.7), np.sin(0.7)])
         pts = np.array([harmonic_radius(i) * u for i in range(1, 16)])
         nodes = NodeSet(points=pts, provenance=["radial"] * len(pts))
-        graph = build_graph(std_ctx, nodes, "complete")
+        graph = build_graph(std_ctx, nodes)
         for i in range(0, 15, 3):
             for j in range(i + 1, 15, 4):
                 value, _ = approx_dphi(graph, pts[i], pts[j])
@@ -239,19 +243,3 @@ class TestNetSolver:
         solver = make_net_solver(k)
         x = harmonic_radius(150) * np.array([np.cos(2.0), np.sin(2.0)])
         assert solver(x, net.centers) < eps
-
-
-class TestDumps:
-    def test_edge_and_node_dump_formats(self, std_ctx):
-        nodes = NodeSet(points=np.array([[0.1, 0.0], [0.3, 0.0]]),
-                        provenance=["endpoint", "endpoint"])
-        graph = build_graph(std_ctx, nodes, "complete")
-        buf = io.StringIO()
-        dump_edges(graph, buf)
-        line = buf.getvalue().strip()
-        i, j, w = line.split()
-        assert (i, j) == ("0", "1")
-        assert float(w) == pytest.approx(0.2)
-        buf2 = io.StringIO()
-        dump_nodes(graph, buf2)
-        assert "endpoint" in buf2.getvalue()
