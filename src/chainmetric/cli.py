@@ -111,7 +111,13 @@ def main(ctx, config_path, **flags):
         raise click.UsageError(f"bad config: {exc}")
 
 
-@main.command()
+# Points are positional, so one with a negative first coordinate looks like
+# an option; unknown options are therefore passed on as arguments, where a
+# misspelt option still fails as an extra argument or an unparsable point.
+POINT_ARGS = {"ignore_unknown_options": True}
+
+
+@main.command(context_settings=POINT_ARGS)
 @click.argument("x")
 @click.argument("y")
 @click.pass_obj
@@ -185,8 +191,8 @@ def net(opts, epsilon, dimension, samples, verify):
         rng=np.random.default_rng(seed),
     )
     lines = [f"# epsilon-net k={result.k} centers={len(result.centers)}"]
-    for i, c in enumerate(result.centers):
-        lines.append(str(i) + "," + ",".join(FMT.format(v) for v in c))
+    row = "%d," + ",".join(["%.17g"] * dimension)  # FMT's format, one % per center
+    lines += [row % (i, *c) for i, c in enumerate(result.centers.tolist())]
     if result.verification:
         lines.append(json.dumps(result.verification))
     _emit("\n".join(lines) + "\n", opts.get("output"))
@@ -195,7 +201,7 @@ def net(opts, epsilon, dimension, samples, verify):
         sys.exit(1)
 
 
-@main.command()
+@main.command(context_settings=POINT_ARGS)
 @click.argument("x")
 @click.argument("y")
 @click.option("--levels", type=int, default=4, show_default=True)

@@ -230,10 +230,11 @@ def psi(x, y, cone: ConeParam, tau: float = 1e-9) -> float:
 
 
 def psi_matrix(points, D, cone: ConeParam, tau: float = 1e-9) -> np.ndarray:
-    """Ray weight over a point set (rows of ``points``) whose distance matrix
-    is ``D``: identification and a shared sphere both compare ray bases."""
+    """Ray weight over a point set (rows of ``points``, or a stack of sets of
+    shape ``(..., n, s)``) whose distance matrix is ``D``: identification and
+    a shared sphere both compare ray bases."""
     P = np.asarray(points, dtype=float)
-    idx = sphere_index(np.linalg.norm(P, axis=1), tau)
+    idx = sphere_index(np.linalg.norm(P, axis=-1), tau)
     bases = np.zeros_like(P)
     bases[idx > 0] = ray_bases(P[idx > 0], cone)
     base_dist = pairwise_distances(bases)

@@ -21,6 +21,7 @@ from .core import Chain, MetricContext
 from .finite import shortest_paths
 from .rays import ConeParam, psi, psi_matrix, ray_of, ray_through
 from .std_map import (
+    _radii_upto,
     harmonic_radius,
     pairwise_distances,
     phi_std,
@@ -59,15 +60,19 @@ class EuclidContext(MetricContext):
     cone: Optional[ConeParam] = None
 
     def link_matrix(self, points: np.ndarray) -> np.ndarray:
+        """Link costs between the rows of ``points``, shape ``(n, n)``; a stack
+        of node sets ``(..., n, s)`` gives one matrix per set, ``(..., n, n)``,
+        each bit-equal to the call on its own set."""
         P = np.asarray(points, dtype=float)
         D = pairwise_distances(P)
         if self.weight_kind == "std_phi":
             weight = phi_std_matrix(P, D, self.tau)
         else:
             weight = psi_matrix(P, D, self.cone, self.tau)
-        inv = 1.0 / (1.0 + np.linalg.norm(P, axis=1))
-        W = np.minimum(D, inv[:, None] + weight + inv[None, :])
-        np.fill_diagonal(W, 0.0)
+        inv = 1.0 / (1.0 + np.linalg.norm(P, axis=-1))
+        W = np.minimum(D, inv[..., :, None] + weight + inv[..., None, :])
+        diag = np.arange(P.shape[-2])
+        W[..., diag, diag] = 0.0
         return W
 
 
@@ -267,46 +272,103 @@ def convergence_run(
 
 
 def _bellman_ford(W: np.ndarray, source: int) -> np.ndarray:
-    """Distances from ``source`` over a dense nonnegative cost matrix, by
-    Bellman-Ford rounds (at most n - 1) for the net solver's graphs of at most
-    9 nodes.  Path sums accumulate left to right, so the floats are Dijkstra's."""
-    dist = np.full(len(W), np.inf)
-    dist[source] = 0.0
-    for _ in range(len(W) - 1):
-        relaxed = np.minimum(dist, (dist[:, None] + W).min(axis=0))
+    """Distances from ``source`` over a dense nonnegative cost matrix, or over
+    each of a stack of them ``(..., n, n)``, by Bellman-Ford rounds (at most
+    n - 1) for the net solver's graphs of at most 8 nodes.  Path sums
+    accumulate left to right, so the floats are Dijkstra's; a round that
+    changes no row ends the search, and extra rounds leave a settled row as
+    it is."""
+    dist = np.full(W.shape[:-1], np.inf)
+    dist[..., source] = 0.0
+    for _ in range(W.shape[-1] - 1):
+        relaxed = np.minimum(dist, (dist[..., :, None] + W).min(axis=-2))
         if np.array_equal(relaxed, dist):
             break
         dist = relaxed
     return dist
 
 
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``X``, bit-equal to
+    ``float(np.linalg.norm(x))`` on the row alone (both take the dot product;
+    ``np.linalg.norm(X, axis=1)`` sums squares and can differ in the last bit)."""
+    return np.sqrt(np.vecdot(X, X))
+
+
+# Center-rows per temporary of the nearest-center search; blocks of 2^20
+# ran the 3-D search slower than one search per sample.
+_NEAREST_BLOCK = 2**17
+# Samples per stacked solve, which bounds its (S, 8, 8) temporaries.
+_NET_ROWS = 2**12
+
+
+def _nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of the Euclidean-nearest center to each row of ``points``, the
+    first on a tie, searched in blocks of about ``_NEAREST_BLOCK`` center-rows.
+    Squares are summed one coordinate at a time, as in ``np.linalg.norm(centers
+    - x, axis=1)``."""
+    nearest = np.empty(len(points), dtype=np.intp)
+    step = max(1, _NEAREST_BLOCK // len(centers))
+    for lo in range(0, len(points), step):
+        block = points[lo:lo + step]
+        sq = np.zeros((len(block), len(centers)))
+        for j in range(points.shape[1]):
+            d = centers[:, j] - block[:, j, None]
+            sq += d * d
+        nearest[lo:lo + step] = np.sqrt(sq).argmin(axis=1)
+    return nearest
+
+
 def make_net_solver(k: int):
     """Coverage solver for epsilon-net verification.
 
-    For a sample point, assembles the projection / identification chain
-    nodes toward sphere k plus the two best candidate centers, and returns
-    the shortest-path upper bound to the nearest center.
+    For each sample point (a row of ``X``), stacks the projection /
+    identification chain nodes toward sphere k and the two best candidate
+    centers into one ``(8, s)`` node set with a validity mask: the sample,
+    its ladder ``{1, m, m+1, k, k+1}`` (``a_m <= |x| < a_{m+1}``, only when
+    ``|x| >= 1``) and the centers nearest to the sample and to its sphere-k
+    projection.  Bellman-Ford rounds over all link matrices at once give each
+    sample's shortest-path upper bound to the nearer center.
     """
     ak = harmonic_radius(k)
 
-    def solve(x, centers) -> float:
-        x = np.asarray(x, dtype=float)
-        n = float(np.linalg.norm(x))
-        pts = [x]
-        cand = [int(np.argmin(np.linalg.norm(centers - x, axis=1)))]
-        if n >= 1.0:
-            u = x / n
-            m = sphere_bracket(n) if n > 1.0 else 1
-            ladder = {1, m, m + 1, k, k + 1}
-            for j in sorted(ladder):
-                pts.append(harmonic_radius(j) * u)
-            z = ak * u
-            cand.append(int(np.argmin(np.linalg.norm(centers - z, axis=1))))
-        first_center = len(pts)
-        for c in dict.fromkeys(cand):
-            pts.append(np.asarray(centers[c], dtype=float))
-        ctx = euclid_context("std_phi", dim=len(x))
-        dist = _bellman_ford(ctx.link_matrix(np.array(pts)), 0)
-        return float(dist[first_center:].min())
+    def solve(X, centers) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        centers = np.asarray(centers, dtype=float)
+        ctx = euclid_context("std_phi", dim=X.shape[1])
+        bounds = np.empty(len(X))
+        for lo in range(0, len(X), _NET_ROWS):
+            bounds[lo:lo + _NET_ROWS] = _net_bounds(ctx, X[lo:lo + _NET_ROWS], centers, k, ak)
+        return bounds
 
     return solve
+
+
+def _net_bounds(ctx: EuclidContext, X, centers, k: int, ak: float) -> np.ndarray:
+    """The net solver's bounds for the rows of ``X``, as one stacked solve."""
+    S, s = X.shape
+    norms = _row_norms(X)
+    far = norms >= 1.0
+    m = np.ones(S, dtype=int)
+    m[norms > 1.0] = sphere_bracket(norms[norms > 1.0])
+    U = X / np.where(far, norms, 1.0)[:, None]
+    ladder = np.sort(np.column_stack([np.ones(S, dtype=int), m, m + 1,
+                                      np.full(S, k), np.full(S, k + 1)]), axis=1)
+    fresh = np.ones_like(ladder, dtype=bool)
+    fresh[:, 1:] = ladder[:, 1:] != ladder[:, :-1]
+    radii = _radii_upto(int(ladder.max()))[ladder - 1]
+
+    near_x = _nearest_center(X, centers)
+    near_z = near_x.copy()
+    near_z[far] = _nearest_center(ak * U[far], centers)
+
+    P = np.empty((S, 8, s))
+    P[:, 0] = X
+    P[:, 1:6] = radii[:, :, None] * U[:, None, :]
+    P[:, 6] = centers[near_x]
+    P[:, 7] = centers[near_z]
+    valid = np.column_stack([np.ones(S, dtype=bool), fresh & far[:, None],
+                             np.ones(S, dtype=bool), far & (near_z != near_x)])
+    W = ctx.link_matrix(P)
+    W[~(valid[:, :, None] & valid[:, None, :])] = np.inf
+    return _bellman_ford(W, 0)[:, 6:].min(axis=1)

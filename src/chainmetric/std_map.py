@@ -61,16 +61,20 @@ def sphere_index(norms, tau: float = 1e-9) -> np.ndarray:
     return idx
 
 
-def sphere_bracket(norm: float) -> int:
-    """Index m with a_m <= norm < a_{m+1}; requires norm >= 1."""
-    if norm < 1.0:
-        raise ValueError(f"norm {norm} below the first sphere radius")
+def sphere_bracket(norms):
+    """Index m with a_m <= norm < a_{m+1} for each of ``norms``, all >= 1; an
+    int for a scalar, an array of the shape of ``norms`` otherwise."""
+    N = np.asarray(norms, dtype=float)
+    if np.any(N < 1.0):
+        raise ValueError(f"norm {N[N < 1.0].max()} below the first sphere radius")
+    top = np.fmax.reduce(N, axis=None, initial=1.0)
     radii = _radii_upto(1024)
-    while radii[-1] <= norm and len(radii) < M_MAX_DEFAULT:
+    while radii[-1] <= top and len(radii) < M_MAX_DEFAULT:
         radii = _radii_upto(min(M_MAX_DEFAULT, 2 * len(radii)))
-    if radii[-1] <= norm:
-        raise ValueError(f"norm {norm} beyond sphere index cap {M_MAX_DEFAULT}")
-    return int(np.searchsorted(radii, norm, side="right"))
+    if radii[-1] <= top:
+        raise ValueError(f"norm {top} beyond sphere index cap {M_MAX_DEFAULT}")
+    m = np.searchsorted(radii, N, side="right")
+    return int(m) if m.ndim == 0 else m
 
 
 def h_pq_std(x, p: int, q: int, tau: float = 1e-9) -> np.ndarray:
@@ -84,13 +88,15 @@ def h_pq_std(x, p: int, q: int, tau: float = 1e-9) -> np.ndarray:
 
 
 def pairwise_distances(P: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix between the rows of ``P``, summed one
-    coordinate at a time (no n x n x s temporary); for s <= 7 that is
+    """Euclidean distance matrices between the rows of each ``(n, s)`` slice of
+    ``P``, shape ``(..., n, n)``, summed one coordinate at a time (no
+    n x n x s temporary); for s <= 7 that is
     ``np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2)`` bit for bit."""
     P = np.asarray(P, dtype=float)
-    sq = np.zeros((len(P), len(P)))
-    for c in P.T:
-        d = c[:, None] - c[None, :]
+    sq = np.zeros(P.shape[:-1] + P.shape[-2:-1])
+    for j in range(P.shape[-1]):
+        c = P[..., j]
+        d = c[..., :, None] - c[..., None, :]
         sq += d * d
     return np.sqrt(sq)
 
@@ -99,11 +105,12 @@ def sphere_weight(D, idx, base_dist, same_cost, tau: float) -> np.ndarray:
     """The weight law of both compactifications: a pair pays its Euclidean
     distance ``D`` unless both nodes lie on spheres (``idx > 0``); then it
     pays ``same_cost`` on a shared sphere, and 0 when its identification
-    bases are at most ``tau`` apart (``base_dist``)."""
+    bases are at most ``tau`` apart (``base_dist``).  Leading axes of ``idx``
+    and of the ``(..., n, n)`` matrices index independent node sets."""
     W = D.copy()
     on = idx > 0
-    both = on[:, None] & on[None, :]
-    same = both & (idx[:, None] == idx[None, :])
+    both = on[..., :, None] & on[..., None, :]
+    same = both & (idx[..., :, None] == idx[..., None, :])
     W[same] = same_cost[same]
     W[both & (base_dist <= tau)] = 0.0
     return W
@@ -125,15 +132,16 @@ def phi_std(x, y, tau: float = 1e-9) -> float:
 
 
 def phi_std_matrix(points, D, tau: float = 1e-9) -> np.ndarray:
-    """Radial weight over a point set (rows of ``points``) whose distance
-    matrix is ``D``: identification compares radial unit vectors, and a shared
-    sphere m rescales the chord by 1/a_m."""
+    """Radial weight over a point set (rows of ``points``, or a stack of sets
+    of shape ``(..., n, s)``) whose distance matrix is ``D``: identification
+    compares radial unit vectors, and a shared sphere m rescales the chord by
+    1/a_m."""
     P = np.asarray(points, dtype=float)
-    norms = np.linalg.norm(P, axis=1)
+    norms = np.linalg.norm(P, axis=-1)
     idx = sphere_index(norms, tau)
     am = _radii_upto(int(idx.max(initial=1)))[np.maximum(idx, 1) - 1]
-    units = P / np.where(norms > 0, norms, 1.0)[:, None]
-    return sphere_weight(D, idx, pairwise_distances(units), D / am[:, None], tau)
+    units = P / np.where(norms > 0, norms, 1.0)[..., None]
+    return sphere_weight(D, idx, pairwise_distances(units), D / am[..., :, None], tau)
 
 
 @dataclass(frozen=True)
@@ -203,13 +211,20 @@ def _sphere_net(radius: float, spacing: float, s: int) -> np.ndarray:
         return radius * np.column_stack([np.cos(angles), np.sin(angles)])
     # Grid-projection net: an axis grid of cell diagonal <= spacing/2 has a
     # point within spacing/2 of every sphere point; projecting that grid
-    # point to the sphere moves it by at most another spacing/2.
+    # point to the sphere moves it by at most another spacing/2.  The grid is
+    # walked one slab of fixed first coordinate at a time, in row-major order,
+    # so only one slab of it is ever held in memory.
     g = spacing / (2.0 * np.sqrt(s))
     axis = np.arange(-radius - g, radius + 2 * g, g)
-    mesh = np.stack(np.meshgrid(*([axis] * s), indexing="ij"), axis=-1).reshape(-1, s)
-    norms = np.linalg.norm(mesh, axis=1)
-    keep = np.abs(norms - radius) <= spacing / 2.0
-    pts = mesh[keep] * (radius / norms[keep])[:, None]
+    rest = np.meshgrid(*([axis] * (s - 1)), indexing="ij")
+    slab = np.stack([np.empty_like(rest[0]), *rest], axis=-1).reshape(-1, s)
+    kept = []
+    for first in axis:
+        slab[:, 0] = first
+        norms = np.linalg.norm(slab, axis=1)
+        keep = np.abs(norms - radius) <= spacing / 2.0
+        kept.append(slab[keep] * (radius / norms[keep])[:, None])
+    pts = np.concatenate(kept)
     # Dedupe projected points that collapsed together, keeping the first.
     cells = np.round(pts / (spacing / 4.0)).astype(int)
     return pts[np.sort(np.unique(cells, axis=0, return_index=True)[1])]
@@ -248,8 +263,8 @@ def epsilon_net(
     a Euclidean eps-net of the ball of radius a_{k+1}; Euclidean nets suffice
     because the transform never exceeds d_E.  Points beyond the ball reach a
     sphere-net center through the projection / identification chain of cost
-    < eps, which ``solver(x, centers) -> upper bound`` certifies numerically
-    when provided.
+    < eps, which ``solver(X, centers) -> upper bounds`` certifies
+    numerically for all sampled rows of ``X`` at once when provided.
     """
     if s < 2:
         raise ValueError(f"dimension must be >= 2, got {s}")
@@ -271,18 +286,13 @@ def epsilon_net(
         dirs = rng.normal(size=(samples, s))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         norms = rng.uniform(0.0, max_norm, size=samples)
-        worst = 0.0
-        covered = 0
-        for u, n in zip(dirs, norms):
-            d = float(solver(n * u, centers))
-            worst = max(worst, d)
-            covered += d < epsilon
+        bounds = solver(norms[:, None] * dirs, centers)
         net.verification = {
             "epsilon": epsilon,
             "k": k,
             "center_count": int(len(centers)),
             "samples": int(samples),
-            "max_min_distance": worst,
-            "covered": int(covered),
+            "max_min_distance": float(np.max(bounds, initial=0.0)),
+            "covered": int(np.count_nonzero(bounds < epsilon)),
         }
     return net

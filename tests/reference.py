@@ -2,8 +2,9 @@
 
 These are the scalar algorithms the library used before its batched
 kernels: one sphere lookup per norm, one bisection per point for the ray
-base, and a binary-heap Dijkstra per source.  They exist only so the tests
-can hold the kernels to them.
+base, a binary-heap Dijkstra per source, one shortest-path solve per
+epsilon-net sample and a whole-cube grid for the 3-D sphere net.  They
+exist only so the tests can hold the kernels to them.
 """
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ import heapq
 import numpy as np
 
 from chainmetric.rays import ConeParam, _point_to_ray_distance, ray_of
-from chainmetric.std_map import M_MAX_DEFAULT, _radii_upto
+from chainmetric.sampler import _bellman_ford, euclid_context
+from chainmetric.std_map import M_MAX_DEFAULT, _radii_upto, harmonic_radius, sphere_bracket
 
 
 def sphere_index_reference(norm: float, tau: float = 1e-9, m_max: int = M_MAX_DEFAULT):
@@ -92,3 +94,45 @@ def dijkstra_reference(W: np.ndarray, source: int):
                 pred[v] = u
                 heapq.heappush(heap, (nd, v))
     return dist, pred
+
+
+def net_solver_reference(k: int):
+    """Per-sample epsilon-net coverage solve: the sample, its ladder toward
+    sphere k and its two candidate centers, one link matrix and one
+    Bellman-Ford per call; returns the bound to the nearer center."""
+    ak = harmonic_radius(k)
+
+    def solve(x, centers) -> float:
+        x = np.asarray(x, dtype=float)
+        n = float(np.linalg.norm(x))
+        pts = [x]
+        cand = [int(np.argmin(np.linalg.norm(centers - x, axis=1)))]
+        if n >= 1.0:
+            u = x / n
+            m = sphere_bracket(n) if n > 1.0 else 1
+            ladder = {1, m, m + 1, k, k + 1}
+            for j in sorted(ladder):
+                pts.append(harmonic_radius(j) * u)
+            z = ak * u
+            cand.append(int(np.argmin(np.linalg.norm(centers - z, axis=1))))
+        first_center = len(pts)
+        for c in dict.fromkeys(cand):
+            pts.append(np.asarray(centers[c], dtype=float))
+        ctx = euclid_context("std_phi", dim=len(x))
+        dist = _bellman_ford(ctx.link_matrix(np.array(pts)), 0)
+        return float(dist[first_center:].min())
+
+    return solve
+
+
+def sphere_net_reference(radius: float, spacing: float, s: int) -> np.ndarray:
+    """Grid-projection ``spacing``-net of the sphere (s >= 3), built from the
+    whole ``(2 radius / g)^s`` grid cube at once."""
+    g = spacing / (2.0 * np.sqrt(s))
+    axis = np.arange(-radius - g, radius + 2 * g, g)
+    mesh = np.stack(np.meshgrid(*([axis] * s), indexing="ij"), axis=-1).reshape(-1, s)
+    norms = np.linalg.norm(mesh, axis=1)
+    keep = np.abs(norms - radius) <= spacing / 2.0
+    pts = mesh[keep] * (radius / norms[keep])[:, None]
+    cells = np.round(pts / (spacing / 4.0)).astype(int)
+    return pts[np.sort(np.unique(cells, axis=0, return_index=True)[1])]

@@ -176,9 +176,16 @@ def test_criterion_07_epsilon_net():
     k = net_index(0.99)
     assert k == 12
     solver = make_net_solver(k)
-    net = epsilon_net(0.99, 2, solver=solver, samples=10_000,
+    calls = []
+
+    def counted(X, centers):
+        calls.append(X.shape)
+        return solver(X, centers)
+
+    net = epsilon_net(0.99, 2, solver=counted, samples=10_000,
                       rng=np.random.default_rng(70))
     elapsed = time.perf_counter() - start
+    assert calls == [(10_000, 2)]  # one stacked solve for all samples
     assert net.verification["covered"] == net.verification["samples"] == 10_000
     assert elapsed < 60.0
     report(7, "epsilon net",

@@ -73,6 +73,17 @@ class TestDist:
         result = invoke(runner, ["--radial-steps", "-1", "dist", "3,0", "0,3"])
         assert result.exit_code == 2
 
+    def test_negative_first_coordinate_needs_no_separator(self, runner):
+        plain = invoke(runner, ["dist", "0,1", "-1.2,0.3"])
+        separated = invoke(runner, ["dist", "--", "0,1", "-1.2,0.3"])
+        assert plain.exit_code == 0
+        assert plain.output == separated.output
+        assert plain.output.splitlines()[3].endswith("| -1.2,0.29999999999999999")
+
+    def test_misspelt_option_is_usage_error(self, runner):
+        assert invoke(runner, ["dist", "0,1", "1,0", "--level", "3"]).exit_code == 2
+        assert invoke(runner, ["dist", "--level", "0,1"]).exit_code == 2
+
     def test_internal_value_error_is_not_usage_error(self, runner, monkeypatch):
         def broken(*args):
             raise ValueError("invalid bracket")
@@ -155,6 +166,18 @@ class TestConverge:
     def test_negative_radial_steps_is_usage_error(self, runner):
         result = invoke(runner, ["--radial-steps", "-1", "converge", "3,0", "0,3"])
         assert result.exit_code == 2
+
+    def test_negative_first_coordinate_needs_no_separator(self, runner):
+        plain = invoke(runner, ["converge", "-1.2,0.3", "0,-1", "--levels", "2"])
+        separated = invoke(runner, ["converge", "--levels", "2", "--", "-1.2,0.3", "0,-1"])
+        assert plain.exit_code == 0
+        assert plain.output == separated.output
+        assert len(plain.output.splitlines()) == 3
+
+    def test_misspelt_option_is_usage_error(self, runner):
+        result = invoke(runner, ["converge", "1,0", "0,1", "--level", "3"])
+        assert result.exit_code == 2
+        assert "--level" in result.output
 
     def test_internal_value_error_is_not_usage_error(self, runner, monkeypatch):
         def broken(*args):

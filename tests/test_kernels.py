@@ -1,6 +1,9 @@
 """The batched kernels (sphere classification, pairwise distances, ray
-inversion, shortest paths) against their loop-per-element references and
-the brute-force oracle."""
+inversion, shortest paths, stacked link costs, the epsilon-net solver and
+sphere net) against their loop-per-element references and the brute-force
+oracle."""
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +11,24 @@ from hypothesis import strategies as st
 
 from chainmetric.finite import dphi_bruteforce, dphi_exact, shortest_paths
 from chainmetric.rays import ConeParam, ray_bases, ray_of
-from chainmetric.sampler import _bellman_ford
-from chainmetric.std_map import harmonic_radius, pairwise_distances, sphere_index
+from chainmetric.sampler import _bellman_ford, _row_norms, euclid_context, make_net_solver
+from chainmetric.std_map import (
+    _sphere_net,
+    epsilon_net,
+    harmonic_radius,
+    net_index,
+    pairwise_distances,
+    sphere_index,
+)
 
 from conftest import random_finite_space
-from reference import dijkstra_reference, ray_through_reference, sphere_index_reference
+from reference import (
+    dijkstra_reference,
+    net_solver_reference,
+    ray_through_reference,
+    sphere_index_reference,
+    sphere_net_reference,
+)
 
 deltas = st.floats(0.1, 0.75)
 dims = st.sampled_from([2, 3])
@@ -178,3 +194,135 @@ class TestDphiExact:
         brute = dphi_bruteforce(ctx, space).values
         scale = float(np.max(space.distances))
         assert np.max(np.abs(exact - brute)) <= 1e-12 * scale
+
+
+def random_directions(rng, count: int, dim: int) -> np.ndarray:
+    U = rng.normal(size=(count, dim))
+    return U / np.linalg.norm(U, axis=1)[:, None]
+
+
+class TestRowNorms:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dim=st.integers(2, 7), scale=st.sampled_from([1e-3, 1.0, 14.0, 1e150]), seed=seeds)
+    def test_bit_equal_to_norm_of_each_row(self, dim, scale, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(50, dim)) * rng.uniform(0.0, scale, size=(50, 1))
+        expected = [float(np.linalg.norm(x)) for x in X]
+        assert _row_norms(X).tolist() == expected
+
+
+@st.composite
+def node_stacks(draw, dim):
+    """A stack of node sets: free points, points on spheres and points that
+    share a radial line with an earlier node of their set."""
+    rng = np.random.default_rng(draw(seeds))
+    shape = draw(st.sampled_from([(1,), (3,), (2, 3)]))
+    n = draw(st.integers(1, 9))
+    P = rng.normal(size=shape + (n, dim)) * rng.uniform(0.1, 6.0, size=shape + (n, 1))
+    kinds = rng.integers(0, 3, size=shape + (n,))
+    U = P / np.linalg.norm(P, axis=-1, keepdims=True)
+    radii = np.array([harmonic_radius(int(m)) for m in range(1, 7)])
+    a = radii[rng.integers(0, 6, size=shape + (n,))][..., None]
+    P = np.where((kinds == 1)[..., None], a * U, P)
+    shared = a * np.roll(U, 1, axis=-2)  # the previous node's direction
+    return np.where((kinds == 2)[..., None], shared, P)
+
+
+class TestStackedLinkMatrix:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), dim=dims, kind=st.sampled_from(["std_phi", "ray_psi"]),
+           delta=deltas)
+    def test_each_slice_bit_equal_to_unstacked_call(self, data, dim, kind, delta):
+        P = data.draw(node_stacks(dim))
+        ctx = euclid_context(kind, cone=ConeParam(delta=delta, dim=dim), dim=dim)
+        W = ctx.link_matrix(P)
+        assert W.shape == P.shape[:-1] + P.shape[-2:-1]
+        for lead in np.ndindex(P.shape[:-2]):
+            assert np.array_equal(W[lead], ctx.link_matrix(P[lead]))
+
+
+@functools.lru_cache(maxsize=None)
+def cached_net_centers(epsilon: float, dim: int) -> np.ndarray:
+    return epsilon_net(epsilon, dim).centers
+
+
+@st.composite
+def net_samples(draw, dim, k, centers):
+    """Sample rows for the net solver: random norms up to a_200 and the edge
+    cases below 1, exactly 1, exactly on a sphere, and on a center of sphere
+    k, where both candidate centers coincide."""
+    rng = np.random.default_rng(draw(seeds))
+    count = draw(st.integers(1, 12))
+    U = random_directions(rng, count, dim)
+    X = U * rng.uniform(0.0, harmonic_radius(200), size=(count, 1))
+    axes = np.eye(dim)[rng.integers(0, dim, size=4)] * rng.choice([-1.0, 1.0], size=(4, 1))
+    m = [int(v) for v in rng.integers(1, 201, size=2)]
+    special = [
+        0.5 * U[0],
+        np.zeros(dim),
+        axes[0],  # norm exactly 1
+        harmonic_radius(m[0]) * axes[1],  # norm exactly a_m
+        harmonic_radius(m[1]) * U[0],
+        harmonic_radius(k) * axes[2],
+        harmonic_radius(k + 1) * axes[3],
+        harmonic_radius(200) * U[-1],
+        centers[int(rng.integers(len(centers)))],
+        centers[0],  # a center on sphere k
+    ]
+    rows = draw(st.lists(st.sampled_from(range(len(special))), max_size=6))
+    return np.vstack([X] + [special[i][None, :] for i in rows])
+
+
+class TestStackedNetSolver:
+    # No 3-D net at 0.8: its 94k centers make the per-sample reference slow.
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), net=st.sampled_from([(2, 0.99), (2, 0.9), (2, 0.8),
+                                                (3, 0.99), (3, 0.9)]))
+    def test_bit_equal_to_per_sample_reference(self, data, net):
+        dim, epsilon = net
+        centers = cached_net_centers(epsilon, dim)
+        k = net_index(epsilon)
+        X = data.draw(net_samples(dim, k, centers))
+        reference = net_solver_reference(k)
+        expected = [reference(x, centers) for x in X]
+        assert make_net_solver(k)(X, centers).tolist() == expected
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_blocks_do_not_change_bounds(self, dim, monkeypatch):
+        k = net_index(0.99)
+        centers = cached_net_centers(0.99, dim)
+        rng = np.random.default_rng(dim)
+        X = random_directions(rng, 40, dim) * rng.uniform(0.0, 8.0, size=(40, 1))
+        expected = make_net_solver(k)(X, centers)
+        monkeypatch.setattr("chainmetric.sampler._NET_ROWS", 7)
+        monkeypatch.setattr("chainmetric.sampler._NEAREST_BLOCK", 3 * len(centers) - 1)
+        assert np.array_equal(make_net_solver(k)(X, centers), expected)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_norm_beyond_the_cap_raises(self, dim):
+        centers = cached_net_centers(0.99, dim)
+        X = np.zeros((3, dim))
+        X[1, 0] = 20.0  # a_{10^6} is about 14.39
+        with pytest.raises(ValueError, match="beyond sphere index cap"):
+            make_net_solver(12)(X, centers)
+        with pytest.raises(ValueError, match="beyond sphere index cap"):
+            net_solver_reference(12)(X[1], centers)
+
+
+class TestSphereNet:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data(), dim=st.sampled_from([3, 4]))
+    def test_bit_equal_to_whole_cube(self, data, dim):
+        if dim == 3:
+            radius = data.draw(st.floats(1.0, 3.0))
+            spacing = data.draw(st.floats(0.25, 1.0))
+        else:
+            radius = data.draw(st.floats(1.0, 1.5))
+            spacing = data.draw(st.floats(0.6, 1.2))
+        assert np.array_equal(_sphere_net(radius, spacing, dim),
+                              sphere_net_reference(radius, spacing, dim))
+
+    def test_bit_equal_at_the_net_of_epsilon_099(self):
+        radius = harmonic_radius(12)
+        assert np.array_equal(_sphere_net(radius, 0.99 / 4.0, 3),
+                              sphere_net_reference(radius, 0.99 / 4.0, 3))

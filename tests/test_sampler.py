@@ -242,4 +242,6 @@ class TestNetSolver:
         net = epsilon_net(eps, 2)
         solver = make_net_solver(k)
         x = harmonic_radius(150) * np.array([np.cos(2.0), np.sin(2.0)])
-        assert solver(x, net.centers) < eps
+        bounds = solver(x[None, :], net.centers)
+        assert bounds.shape == (1,)
+        assert bounds[0] < eps

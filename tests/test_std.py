@@ -66,6 +66,16 @@ class TestSphereClassification:
         with pytest.raises(ValueError):
             sphere_bracket(0.5)
 
+    def test_bracket_of_an_array(self):
+        norms = np.array([2.0, 1.0, harmonic_radius(7), harmonic_radius(3000) + 1e-5])
+        brackets = sphere_bracket(norms)
+        assert brackets.tolist() == [sphere_bracket(float(n)) for n in norms] == [3, 1, 7, 3000]
+        assert sphere_bracket(np.empty(0)).shape == (0,)
+        with pytest.raises(ValueError, match="below the first sphere"):
+            sphere_bracket(np.array([2.0, 0.5]))
+        with pytest.raises(ValueError, match="beyond sphere index cap"):
+            sphere_bracket(np.array([2.0, 20.0]))
+
 
 class TestRadialIdentification:
     def test_basic_scaling(self):
