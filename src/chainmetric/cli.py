@@ -8,6 +8,7 @@ certificate holds, 1 on a certificate violation, 2 on a config error.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 
@@ -35,6 +36,8 @@ from .std_map import (
 )
 
 FMT = "{:.17g}"
+# Center rows that ``net`` formats and writes at a time.
+NET_BLOCK = 2**16
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -83,12 +86,19 @@ def _context(opts: dict, dim: int):
     return euclid_context("std_phi", dim=dim)
 
 
-def _emit(text: str, output) -> None:
+@contextlib.contextmanager
+def _writer(output):
+    """A function that writes text to the ``--output`` file, or to stdout."""
     if output:
         with open(output, "w") as fh:
-            fh.write(text)
+            yield fh.write
     else:
-        click.echo(text, nl=False)
+        yield lambda text: click.echo(text, nl=False)
+
+
+def _emit(text: str, output) -> None:
+    with _writer(output) as write:
+        write(text)
 
 
 @click.group()
@@ -190,12 +200,14 @@ def net(opts, epsilon, dimension, samples, verify):
         epsilon, dimension, solver=solver, samples=samples,
         rng=np.random.default_rng(seed),
     )
-    lines = [f"# epsilon-net k={result.k} centers={len(result.centers)}"]
-    row = "%d," + ",".join(["%.17g"] * dimension)  # FMT's format, one % per center
-    lines += [row % (i, *c) for i, c in enumerate(result.centers.tolist())]
-    if result.verification:
-        lines.append(json.dumps(result.verification))
-    _emit("\n".join(lines) + "\n", opts.get("output"))
+    row = "%d," + ",".join(["%.17g"] * dimension) + "\n"  # FMT's format, one % per center
+    with _writer(opts.get("output")) as write:
+        write(f"# epsilon-net k={result.k} centers={len(result.centers)}\n")
+        for lo in range(0, len(result.centers), NET_BLOCK):
+            block = result.centers[lo:lo + NET_BLOCK].tolist()
+            write("".join([row % (i, *c) for i, c in enumerate(block, lo)]))
+        if result.verification:
+            write(json.dumps(result.verification) + "\n")
     if verify and result.verification["covered"] < result.verification["samples"]:
         click.echo("coverage violation", err=True)
         sys.exit(1)

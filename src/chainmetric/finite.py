@@ -174,7 +174,7 @@ def dphi_bruteforce(
 
 
 def parse_distance_matrix(text: str) -> np.ndarray:
-    """Parse the text format: first line n, then n rows of n reals."""
+    """Parse the text format: first line n, then n rows of n finite reals."""
     tokens = text.split()
     if not tokens:
         raise ValueError("empty distance matrix input")
@@ -182,7 +182,11 @@ def parse_distance_matrix(text: str) -> np.ndarray:
     values = [float(t) for t in tokens[1:]]
     if len(values) != n * n:
         raise ValueError(f"expected {n * n} entries, got {len(values)}")
-    return np.array(values).reshape(n, n)
+    D = np.array(values).reshape(n, n)
+    if not np.isfinite(D).all():
+        i, j = np.argwhere(~np.isfinite(D))[0]
+        raise ValueError(f"entry ({i}, {j}) is {D[i, j]}; distances must be finite")
+    return D
 
 
 def load_distance_matrix(path) -> np.ndarray:

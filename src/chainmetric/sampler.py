@@ -295,28 +295,201 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(X, X))
 
 
-# Center-rows per temporary of the nearest-center search; blocks of 2^20
-# ran the 3-D search slower than one search per sample.
-_NEAREST_BLOCK = 2**17
+# Centers per grid cell on average in the nearest-center search, centers
+# per column of its distance table; queries per search and rows of cells
+# per block of a band, which bound its temporaries.
+_CELL_FILL = 2
+_CELL_ROW = 4
+_CELL_QUERIES = 2**9
+_CELL_BLOCK = 2**14
 # Samples per stacked solve, which bounds its (S, 8, 8) temporaries.
 _NET_ROWS = 2**12
 
 
-def _nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Index of the Euclidean-nearest center to each row of ``points``, the
-    first on a tie, searched in blocks of about ``_NEAREST_BLOCK`` center-rows.
-    Squares are summed one coordinate at a time, as in ``np.linalg.norm(centers
-    - x, axis=1)``."""
-    nearest = np.empty(len(points), dtype=np.intp)
-    step = max(1, _NEAREST_BLOCK // len(centers))
-    for lo in range(0, len(points), step):
-        block = points[lo:lo + step]
-        sq = np.zeros((len(block), len(centers)))
-        for j in range(points.shape[1]):
-            d = centers[:, j] - block[:, j, None]
-            sq += d * d
-        nearest[lo:lo + step] = np.sqrt(sq).argmin(axis=1)
-    return nearest
+class _CenterGrid:
+    """The centers bucketed in a uniform grid of cubic cells, for exact
+    nearest-center search by rings of cells (fixed-radius cell lists;
+    Bentley, Stanat & Williams 1977).
+
+    ``nearest`` searches all queries at once.  Each query first searches the
+    3^s cells around the grid cell nearest to it (for a query inside the
+    grid, rings 0 and 1 around its own cell), then outward in bands of whole
+    rings: every ring its best distance can reach or, while it has none, a
+    band twice as wide as the last.  A query outside the grid counts its
+    rings from its own cell, beyond the grid, so its bands start at the
+    first ring that meets the grid.  Cells are searched in runs along the
+    last axis, whose centers are consecutive.  The chosen index is the
+    brute-force ``argmin`` of ``sqrt(sum_j (center_j - x_j)**2)``, bit for
+    bit, because:
+
+    - each candidate distance sums its squares one coordinate at a time and
+      then takes the square root, as the brute force does;
+    - a query stops only when the inner distance bound of the rings it has
+      not searched, less a slack of 1e-9 of the grid's scale, exceeds its
+      best distance by a relative 1e-9, and a band skips a run of cells only
+      when its box is that much farther than the best distance, so float
+      error in the cell assignment or in the bounds never drops a center
+      that could tie;
+    - among equal distances the lowest center index wins.
+    """
+
+    def __init__(self, centers):
+        C = self.centers = np.asarray(centers, dtype=float)
+        N, s = C.shape
+        axes = [C[:, j] for j in range(s)]
+        self.lo = np.array([a.min() for a in axes])
+        hi = np.array([a.max() for a in axes])
+        extent = hi - self.lo
+        self.h = float(extent.max()) / max(1, int((N / _CELL_FILL) ** (1.0 / s))) or 1.0
+        # A center on the far face of the grid joins the cell below it.
+        self.top = np.maximum(np.ceil(extent / self.h).astype(np.int64) - 1, 0)
+        self.strides = np.ones(s, dtype=np.int64)
+        self.strides[:-1] = np.cumprod(self.top[:0:-1] + 1)[::-1]
+        flat = np.zeros(N, dtype=np.int64)
+        for a, lo, top in zip(axes, self.lo, self.top):
+            flat *= top + 1
+            flat += np.minimum(np.floor((a - lo) / self.h).astype(np.int64), top)
+        self.start = np.zeros(int(np.prod(self.top + 1)) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flat, minlength=len(self.start) - 1), out=self.start[1:])
+        # Sorted by cell, then by index, and padded at the end with centers
+        # at infinity, which never win, so that a column of the distance
+        # table may run past the last center.
+        self.order = np.full(N + _CELL_ROW, N)
+        self.order[:N] = np.argsort(flat, kind="stable")
+        self.columns = np.full((s, N + _CELL_ROW), np.inf)
+        for a, column in zip(axes, self.columns):
+            np.take(a, self.order[:N], out=column[:N])
+        self.slack = 1e-9 * (self.h + max(np.abs(self.lo).max(), np.abs(hi).max()))
+        # Prefix offsets of the runs of a 3^s block.
+        self.block = np.indices((3,) * (s - 1)).reshape(s - 1, -1) - 1
+
+    def nearest(self, points) -> np.ndarray:
+        """Index of the Euclidean-nearest center to each row of ``points``,
+        the lowest on a tie, searched ``_CELL_QUERIES`` rows at a time."""
+        X = np.asarray(points, dtype=float)
+        if not np.isfinite(X).all():
+            raise ValueError("nearest-center query with a non-finite coordinate")
+        near = np.empty(len(X), dtype=np.intp)
+        for lo in range(0, len(X), _CELL_QUERIES):
+            near[lo:lo + _CELL_QUERIES] = self._nearest(X[lo:lo + _CELL_QUERIES])
+        return near
+
+    def _nearest(self, X) -> np.ndarray:
+        """``nearest`` for one block of rows of ``X``."""
+        axes = np.ascontiguousarray(X.T)
+        Q = axes.shape[1]
+        t = np.clip((axes - self.lo[:, None]) / self.h, -2.0**52, 2.0**52)
+        cell = np.floor(t)
+        edge = np.minimum(t - cell, cell + 1.0 - t).min(axis=0)
+        cell = cell.astype(np.int64)
+        top = self.top[:, None]
+        away = np.maximum(-cell, cell - top).max(axis=0)  # > 0 outside the grid
+        last = np.maximum(cell, top - cell).max(axis=0)
+        best = np.full(Q, np.inf)
+        arg = np.full(Q, len(self.centers))
+        self._search(axes, *self._block(np.clip(cell, 0, top)), best, arg)
+        searched = np.where(away > 0, away - 1, 1)  # the last ring searched whole
+        width = np.ones(Q, dtype=np.int64)  # the next band's width while blind
+        live = np.arange(Q)
+        while True:
+            S, e, b = searched[live], edge[live], best[live]
+            # Cells beyond ring S lie at least (S + e) * h from the query.
+            going = (S < last[live]) & ((S + e) * self.h - self.slack <= b * (1.0 + 1e-9))
+            if not going.any():
+                return arg
+            live, S, e, b = live[going], S[going], e[going], b[going]
+            reach = np.minimum((b * (1.0 + 1e-9) + self.slack) / self.h - e, last[live])
+            R = np.where(np.isfinite(b), np.floor(reach).astype(np.int64) + 1, S + width[live])
+            R = np.minimum(np.maximum(R, S + 1), last[live])
+            # Bands in blocks of about _CELL_BLOCK rows of cells.
+            rows = np.cumsum((2 * R + 1) ** (len(axes) - 1))
+            lo = 0
+            while lo < len(live):
+                hi = max(lo + 1, int(np.searchsorted(rows, rows[lo] + _CELL_BLOCK)))
+                band = self._band(axes, cell[:, live[lo:hi]], live[lo:hi], S[lo:hi] + 1,
+                                  R[lo:hi], best)
+                self._search(axes, *band, best, arg)
+                lo = hi
+            searched[live] = R
+            width[live] *= 2
+
+    def _block(self, home):
+        """Runs ``(q, first cell, stop cell)`` of the 3^s cells around cell
+        ``home[:, i]`` for query ``i``, query by query."""
+        prefix = home[:-1, :, None] + self.block[:, None, :]
+        inside = ((prefix >= 0) & (prefix <= self.top[:-1, None, None])).all(axis=0)
+        base = (prefix * self.strides[:-1, None, None]).sum(axis=0)
+        first = np.where(inside, base + np.maximum(home[-1] - 1, 0)[:, None], 0)
+        stop = np.where(inside, base + np.minimum(home[-1] + 1, self.top[-1])[:, None] + 1, 0)
+        return np.repeat(np.arange(home.shape[1]), self.block.shape[1]), first.ravel(), stop.ravel()
+
+    def _band(self, axes, cell, live, r, R, best):
+        """Runs ``(q, first cell, stop cell)`` of rings ``r[i]`` to ``R[i]``
+        around cell ``cell[:, i]`` for query ``live[i]``: for each prefix of
+        its cube of R rings inside the grid, the whole row, or for a prefix
+        inside its cube of r - 1 rings the two ends of the row beyond it;
+        runs whose box is farther than the best distance are dropped."""
+        lo = np.maximum(cell - R, 0)
+        hi = np.minimum(cell + R, self.top[:, None])
+        size = np.maximum(hi[:-1] - lo[:-1] + 1, 0)
+        count = size.prod(axis=0) * (hi[-1] >= lo[-1])
+        row = np.repeat(np.arange(len(live)), count)
+        k = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+        q = live[row]
+        ring = np.zeros(len(row), dtype=np.int64)
+        base = np.zeros(len(row), dtype=np.int64)
+        gap = np.zeros(len(row))
+        for j in range(len(cell) - 1):
+            p = lo[j][row] + k % size[j][row]
+            k //= size[j][row]
+            ring = np.maximum(ring, np.abs(p - cell[j][row]))
+            base += p * self.strides[j]
+            x, near = axes[j][q], self.lo[j] + p * self.h
+            g = np.maximum(np.maximum(near - x, x - (near + self.h)), 0.0)
+            gap += g * g
+        u, v, c, rr = lo[-1][row], hi[-1][row], cell[-1][row], r[row]
+        inner = ring < rr
+        ends = np.stack([u, np.where(inner, np.maximum(u, c + rr), v + 1),
+                         np.where(inner, np.minimum(v, c - rr), v), v], axis=1)
+        u, v = ends[:, :2].ravel(), ends[:, 2:].ravel()
+        q, base, gap = np.repeat(q, 2), np.repeat(base, 2), np.repeat(gap, 2)
+        x, near = axes[-1][q], self.lo[-1] + u * self.h
+        g = np.maximum(np.maximum(near - x, x - (self.lo[-1] + (v + 1) * self.h)), 0.0)
+        keep = (v >= u) & (np.sqrt(gap + g * g) - self.slack <= best[q] * (1.0 + 1e-9))
+        return q[keep], (base + u)[keep], (base + v + 1)[keep]
+
+    def _search(self, axes, q, first, stop, best, arg) -> None:
+        """Update the best distance and index of query ``q[i]`` over the
+        centers of cells ``first[i]`` up to ``stop[i]``; ``q`` is sorted and
+        ``axes`` holds the query coordinates one axis per row.  A run of
+        centers is compared in columns of ``_CELL_ROW``; the last column of a
+        run may reach into the next cells, whose centers are real (or at
+        infinity), so comparing them too changes no result."""
+        first, stop = self.start[first], self.start[stop]
+        cols = (stop - first + _CELL_ROW - 1) // _CELL_ROW
+        ends = np.cumsum(cols)
+        if not len(ends) or not ends[-1]:
+            return
+        col_q = np.repeat(q, cols)
+        # pos[w, i]: the w-th center of column i.
+        pos = (np.repeat(first - (ends - cols) * _CELL_ROW, cols)
+               + np.arange(0, ends[-1] * _CELL_ROW, _CELL_ROW)) + np.arange(_CELL_ROW)[:, None]
+        sq = d = None
+        for column, x in zip(self.columns, axes):
+            d = np.take(column, pos, out=d)
+            d -= x[col_q]
+            d *= d
+            sq = d.copy() if sq is None else np.add(sq, d, out=sq)
+        dist = np.sqrt(sq, out=sq)
+        lead = np.concatenate(([True], col_q[1:] != col_q[:-1]))
+        head = np.flatnonzero(lead)
+        q = col_q[head]
+        m = np.minimum.reduceat(dist.min(axis=0), head)
+        tied = dist == m[np.cumsum(lead) - 1]
+        i = np.minimum.reduceat(np.where(tied, self.order[pos], len(self.centers)).min(axis=0), head)
+        better = (m < best[q]) | ((m == best[q]) & (i < arg[q]))
+        best[q[better]] = m[better]
+        arg[q[better]] = i[better]
 
 
 def make_net_solver(k: int):
@@ -334,17 +507,17 @@ def make_net_solver(k: int):
 
     def solve(X, centers) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        centers = np.asarray(centers, dtype=float)
+        grid = _CenterGrid(centers)
         ctx = euclid_context("std_phi", dim=X.shape[1])
         bounds = np.empty(len(X))
         for lo in range(0, len(X), _NET_ROWS):
-            bounds[lo:lo + _NET_ROWS] = _net_bounds(ctx, X[lo:lo + _NET_ROWS], centers, k, ak)
+            bounds[lo:lo + _NET_ROWS] = _net_bounds(ctx, X[lo:lo + _NET_ROWS], grid, k, ak)
         return bounds
 
     return solve
 
 
-def _net_bounds(ctx: EuclidContext, X, centers, k: int, ak: float) -> np.ndarray:
+def _net_bounds(ctx: EuclidContext, X, grid: _CenterGrid, k: int, ak: float) -> np.ndarray:
     """The net solver's bounds for the rows of ``X``, as one stacked solve."""
     S, s = X.shape
     norms = _row_norms(X)
@@ -358,9 +531,11 @@ def _net_bounds(ctx: EuclidContext, X, centers, k: int, ak: float) -> np.ndarray
     fresh[:, 1:] = ladder[:, 1:] != ladder[:, :-1]
     radii = _radii_upto(int(ladder.max()))[ladder - 1]
 
-    near_x = _nearest_center(X, centers)
+    near = grid.nearest(np.vstack([X, ak * U[far]]))
+    near_x = near[:S]
     near_z = near_x.copy()
-    near_z[far] = _nearest_center(ak * U[far], centers)
+    near_z[far] = near[S:]
+    centers = grid.centers
 
     P = np.empty((S, 8, s))
     P[:, 0] = X

@@ -203,31 +203,70 @@ def net_index(epsilon: float) -> int:
 
 
 def _sphere_net(radius: float, spacing: float, s: int) -> np.ndarray:
-    """Euclidean ``spacing``-net of the sphere of the given radius."""
+    """Euclidean ``spacing``-net of the sphere of the given radius.
+
+    For s >= 3 this is the grid-projection net: the points of an axis grid of
+    cell diagonal spacing/2 whose norm is within spacing/2 of the radius,
+    projected radially onto the sphere in row-major grid order, keeping the
+    first point of each spacing/4 cell.  The grid is swept one slab of fixed
+    first coordinate at a time, and within a slab only the rows whose squared
+    norm lies in the shell's window, widened by 1e-9 of its outer end, so no
+    row the shell test keeps is skipped.  Each norm sums the squares from
+    first*first onwards, one coordinate at a time, which for s <= 7 is
+    ``np.linalg.norm(grid, axis=1)`` bit for bit; the net is then the one
+    ``tests/reference.py:sphere_net_reference`` builds from the whole cube.
+    """
     if s == 2:
         step = 2.0 * np.arcsin(min(1.0, spacing / (2.0 * radius)))
         count = int(np.ceil(2.0 * np.pi / step))
         angles = np.arange(count) * (2.0 * np.pi / count)
         return radius * np.column_stack([np.cos(angles), np.sin(angles)])
-    # Grid-projection net: an axis grid of cell diagonal <= spacing/2 has a
-    # point within spacing/2 of every sphere point; projecting that grid
-    # point to the sphere moves it by at most another spacing/2.  The grid is
-    # walked one slab of fixed first coordinate at a time, in row-major order,
-    # so only one slab of it is ever held in memory.
+    # An axis grid of cell diagonal <= spacing/2 has a point within spacing/2
+    # of every sphere point; projecting that grid point to the sphere moves it
+    # by at most another spacing/2.
     g = spacing / (2.0 * np.sqrt(s))
+    half = spacing / 2.0
     axis = np.arange(-radius - g, radius + 2 * g, g)
-    rest = np.meshgrid(*([axis] * (s - 1)), indexing="ij")
-    slab = np.stack([np.empty_like(rest[0]), *rest], axis=-1).reshape(-1, s)
-    kept = []
+    rest = [c.ravel() for c in np.meshgrid(*([axis] * (s - 1)), indexing="ij")]
+    rest_sq = sum(c * c for c in rest)
+    outer = (radius + half) ** 2
+    window = (max(radius - half, 0.0) ** 2 - 1e-9 * outer, outer * (1.0 + 1e-9))
+    # One int64 key per spacing/4 cell: cell coordinates lie in [-span, span].
+    # (2 span + 1)^s < 2^63 whenever one slab of the grid fits in memory, as
+    # the grid has about sqrt(s)/2 (2 span + 1) points per axis.
+    cell = spacing / 4.0
+    span = int(np.ceil(radius / cell)) + 1
+    slabs, keys = [], []
     for first in axis:
-        slab[:, 0] = first
-        norms = np.linalg.norm(slab, axis=1)
-        keep = np.abs(norms - radius) <= spacing / 2.0
-        kept.append(slab[keep] * (radius / norms[keep])[:, None])
-    pts = np.concatenate(kept)
-    # Dedupe projected points that collapsed together, keeping the first.
-    cells = np.round(pts / (spacing / 4.0)).astype(int)
-    return pts[np.sort(np.unique(cells, axis=0, return_index=True)[1])]
+        f2 = first * first
+        rows = np.flatnonzero((rest_sq >= window[0] - f2) & (rest_sq <= window[1] - f2))
+        sq = f2
+        for c in rest:
+            sq = sq + c[rows] * c[rows]
+        norms = np.sqrt(sq)
+        keep = np.abs(norms - radius) <= half
+        rows, scale = rows[keep], radius / norms[keep]
+        pts = np.empty((len(rows), s))
+        pts[:, 0] = first * scale
+        for j, c in enumerate(rest, 1):
+            pts[:, j] = c[rows] * scale
+        key = np.zeros(len(rows), dtype=np.int64)
+        for j in range(s):
+            key = key * (2 * span + 1) + (np.round(pts[:, j] / cell).astype(np.int64) + span)
+        slabs.append(pts)
+        keys.append(key)
+    # The stable sort behind return_index keeps each cell's first point.
+    first_of_cell = np.sort(np.unique(np.concatenate(keys), return_index=True)[1])
+    del keys
+    net = np.empty((len(first_of_cell), s))
+    lo = done = 0
+    for i, pts in enumerate(slabs):
+        hi = lo + len(pts)
+        take = first_of_cell[done:np.searchsorted(first_of_cell, hi)]
+        net[done:done + len(take)] = pts[take - lo]
+        done += len(take)
+        slabs[i], lo = None, hi
+    return net
 
 
 def _ball_net(radius: float, spacing: float, s: int) -> np.ndarray:

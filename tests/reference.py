@@ -3,7 +3,8 @@
 These are the scalar algorithms the library used before its batched
 kernels: one sphere lookup per norm, one bisection per point for the ray
 base, a binary-heap Dijkstra per source, one shortest-path solve per
-epsilon-net sample and a whole-cube grid for the 3-D sphere net.  They
+epsilon-net sample, a whole-cube grid for the 3-D sphere net and a
+brute-force nearest-center search.  They
 exist only so the tests can hold the kernels to them.
 """
 from __future__ import annotations
@@ -126,8 +127,14 @@ def net_solver_reference(k: int):
 
 
 def sphere_net_reference(radius: float, spacing: float, s: int) -> np.ndarray:
-    """Grid-projection ``spacing``-net of the sphere (s >= 3), built from the
-    whole ``(2 radius / g)^s`` grid cube at once."""
+    """``spacing``-net of the sphere: evenly spaced points of the circle in
+    the plane; for s >= 3 the grid-projection net, built from the whole
+    ``(2 radius / g)^s`` grid cube at once."""
+    if s == 2:
+        step = 2.0 * np.arcsin(min(1.0, spacing / (2.0 * radius)))
+        count = int(np.ceil(2.0 * np.pi / step))
+        angles = np.arange(count) * (2.0 * np.pi / count)
+        return radius * np.column_stack([np.cos(angles), np.sin(angles)])
     g = spacing / (2.0 * np.sqrt(s))
     axis = np.arange(-radius - g, radius + 2 * g, g)
     mesh = np.stack(np.meshgrid(*([axis] * s), indexing="ij"), axis=-1).reshape(-1, s)
@@ -136,3 +143,19 @@ def sphere_net_reference(radius: float, spacing: float, s: int) -> np.ndarray:
     pts = mesh[keep] * (radius / norms[keep])[:, None]
     cells = np.round(pts / (spacing / 4.0)).astype(int)
     return pts[np.sort(np.unique(cells, axis=0, return_index=True)[1])]
+
+
+def nearest_center_reference(points, centers) -> np.ndarray:
+    """Index of the Euclidean-nearest center to each row of ``points``, the
+    first on a tie, by brute force: squares summed one coordinate at a time,
+    as in ``np.linalg.norm(centers - x, axis=1)``."""
+    points = np.asarray(points, dtype=float)
+    centers = np.asarray(centers, dtype=float)
+    nearest = np.empty(len(points), dtype=np.intp)
+    for i, x in enumerate(points):
+        sq = np.zeros(len(centers))
+        for j in range(len(x)):
+            d = centers[:, j] - x[j]
+            sq += d * d
+        nearest[i] = np.sqrt(sq).argmin()
+    return nearest

@@ -1,10 +1,13 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from chainmetric.cli import main
+from chainmetric.std_map import _ball_net, harmonic_radius, net_index
+from reference import net_solver_reference, sphere_net_reference
 
 
 @pytest.fixture
@@ -113,8 +116,67 @@ class TestOracle:
         result = invoke(runner, ["oracle", str(path)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_entry_is_usage_error_without_warnings(self, runner, tmp_path, entry):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"3\n0 1 {entry}\n1 0 1\n{entry} 1 0\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = invoke(runner, ["oracle", str(path)])
+        assert result.exit_code == 2
+        assert f"entry (0, 2) is {entry}" in result.output
+        assert "Warning" not in result.output
+        assert caught == []
+
+
+def expected_net_stdout(epsilon, dim, samples, seed):
+    """``net`` stdout rebuilt from the reference sphere net, the ball net and
+    the per-sample reference solver."""
+    k = net_index(epsilon)
+    centers = np.vstack([sphere_net_reference(harmonic_radius(k), epsilon / 4.0, dim),
+                         _ball_net(harmonic_radius(k + 1), epsilon, dim)])
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(samples, dim))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    X = rng.uniform(0.0, harmonic_radius(200), size=samples)[:, None] * dirs
+    solve = net_solver_reference(k)
+    bounds = [solve(x, centers) for x in X]
+    row = "%d," + ",".join(["%.17g"] * dim)
+    lines = [f"# epsilon-net k={k} centers={len(centers)}"]
+    lines += [row % (i, *c) for i, c in enumerate(centers.tolist())]
+    lines.append(json.dumps({
+        "epsilon": epsilon, "k": k, "center_count": len(centers), "samples": samples,
+        "max_min_distance": max(bounds), "covered": sum(b < epsilon for b in bounds),
+    }))
+    return "\n".join(lines) + "\n"
+
+
+def first_difference(got: str, want: str) -> str:
+    """The first differing line of two outputs, cheap to report however long
+    they are."""
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    for i, (a, b) in enumerate(zip(got_lines, want_lines)):
+        if a != b:
+            return f"line {i}: {a!r} != {b!r}"
+    return f"{len(got_lines)} lines != {len(want_lines)} lines"
+
 
 class TestNet:
+    @pytest.mark.parametrize("dim, epsilon", [(2, 0.8), (3, 0.99)])
+    def test_output_matches_the_references(self, runner, dim, epsilon):
+        result = invoke(runner, ["--seed", "7", "net", "--epsilon", str(epsilon),
+                                 "-s", str(dim), "--samples", "30"])
+        assert result.exit_code == 0
+        expected = expected_net_stdout(epsilon, dim, 30, 7)
+        same = result.output == expected
+        assert same, first_difference(result.output, expected)
+
+    def test_blocks_do_not_change_the_output(self, runner, monkeypatch):
+        args = ["--seed", "3", "net", "--epsilon", "0.9", "--samples", "20"]
+        expected = invoke(runner, args).output
+        monkeypatch.setattr("chainmetric.cli.NET_BLOCK", 7)
+        assert invoke(runner, args).output == expected
+
     def test_coarse_net_reports_coverage(self, runner):
         result = invoke(runner, ["net", "--epsilon", "0.99", "--samples", "200"])
         assert result.exit_code == 0

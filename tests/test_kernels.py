@@ -1,7 +1,7 @@
 """The batched kernels (sphere classification, pairwise distances, ray
-inversion, shortest paths, stacked link costs, the epsilon-net solver and
-sphere net) against their loop-per-element references and the brute-force
-oracle."""
+inversion, shortest paths, stacked link costs, the epsilon-net solver,
+nearest-center search and sphere net) against their loop-per-element
+references and the brute-force oracle."""
 import functools
 
 import numpy as np
@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from chainmetric.finite import dphi_bruteforce, dphi_exact, shortest_paths
 from chainmetric.rays import ConeParam, ray_bases, ray_of
-from chainmetric.sampler import _bellman_ford, _row_norms, euclid_context, make_net_solver
+from chainmetric.sampler import (
+    _bellman_ford,
+    _CenterGrid,
+    _row_norms,
+    euclid_context,
+    make_net_solver,
+)
 from chainmetric.std_map import (
     _sphere_net,
     epsilon_net,
@@ -24,6 +30,7 @@ from chainmetric.std_map import (
 from conftest import random_finite_space
 from reference import (
     dijkstra_reference,
+    nearest_center_reference,
     net_solver_reference,
     ray_through_reference,
     sphere_index_reference,
@@ -295,7 +302,6 @@ class TestStackedNetSolver:
         X = random_directions(rng, 40, dim) * rng.uniform(0.0, 8.0, size=(40, 1))
         expected = make_net_solver(k)(X, centers)
         monkeypatch.setattr("chainmetric.sampler._NET_ROWS", 7)
-        monkeypatch.setattr("chainmetric.sampler._NEAREST_BLOCK", 3 * len(centers) - 1)
         assert np.array_equal(make_net_solver(k)(X, centers), expected)
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -309,16 +315,112 @@ class TestStackedNetSolver:
             net_solver_reference(12)(X[1], centers)
 
 
+@st.composite
+def center_sets(draw):
+    """Centers in 2-D to 5-D: a dyadic lattice (whose midpoints tie
+    exactly), a Gaussian cloud, a sphere net with a ball grid inside, one
+    center, or a few centers each repeated."""
+    dim = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(seeds))
+    kind = draw(st.sampled_from(["lattice", "cloud", "net", "one", "repeated"]))
+    if kind == "lattice":
+        side = [3, 4, 5, 7, 9, 13][min(5, draw(st.integers(0, 4 * (6 - dim))) // 2)]
+        axis = (np.arange(side) - side // 2) * 2.0 ** draw(st.integers(-3, 1))
+        C = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+        C = C[rng.permutation(len(C))[:draw(st.integers(2, len(C)))]]
+    elif kind == "cloud":
+        C = rng.normal(size=(draw(st.integers(2, 400)), dim)) * 10.0 ** draw(st.integers(-2, 2))
+    elif kind == "net":
+        radius = harmonic_radius(draw(st.integers(2, 12)))
+        C = np.vstack([_sphere_net(radius, radius * (0.6 if dim < 4 else 1.2), dim),
+                       rng.integers(-3, 4, size=(30, dim)) * (radius / 3.0)])
+    elif kind == "one":
+        C = rng.normal(size=(1, dim))
+    else:
+        C = np.repeat(rng.normal(size=(draw(st.integers(1, 6)), dim)), 3, axis=0)
+        C = C[rng.permutation(len(C))]
+    return C
+
+
+@st.composite
+def nearest_queries(draw, centers):
+    """Queries around and far outside the centers' box (norms up to a_200
+    and beyond), midpoints of two centers, the centers themselves and
+    points on the boundaries of the grid's cells."""
+    rng = np.random.default_rng(draw(seeds))
+    dim = centers.shape[1]
+    grid = _CenterGrid(centers)
+    count = draw(st.integers(1, 40))
+    box = np.abs(centers).max() + 1.0
+    U = random_directions(rng, count, dim)
+    pick = lambda n: centers[rng.integers(len(centers), size=n)]
+    kinds = [
+        U * rng.uniform(0.0, 2.0 * box, size=(count, 1)),
+        U * rng.uniform(0.0, harmonic_radius(200), size=(count, 1)),
+        U * 10.0 ** rng.uniform(1.0, 6.0, size=(count, 1)) * box,
+        0.5 * (pick(count) + pick(count)),
+        pick(count),
+        grid.lo + rng.integers(-3, grid.top.max() + 4, size=(count, dim)) * grid.h,
+    ]
+    chosen = draw(st.lists(st.integers(0, len(kinds) - 1), min_size=1, max_size=4, unique=True))
+    return np.vstack([kinds[i] for i in chosen])
+
+
+class TestNearestCenter:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), centers=center_sets())
+    def test_bit_equal_to_brute_force(self, data, centers):
+        X = data.draw(nearest_queries(centers))
+        assert _CenterGrid(centers).nearest(X).tolist() == \
+            nearest_center_reference(X, centers).tolist()
+
+    def test_lowest_index_wins_an_exact_tie(self):
+        centers = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        X = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+        assert _CenterGrid(centers).nearest(X).tolist() == [0, 1, 1, 1]
+
+    def test_lowest_index_wins_a_tie_across_rings(self, monkeypatch):
+        # Cells of side 1 from the origin: the query sits at the center of
+        # cell (5, 5); center 1 lies in its first ring, center 0 in its
+        # second, at the same distance sqrt(3.125).  Centers in the cells
+        # between them keep the first search from reaching center 0.
+        monkeypatch.setattr("chainmetric.sampler._CELL_FILL", 0.12)
+        between = [[7.5, y] for y in (0.25, 0.75, 1.25, 1.75, 2.25, 2.75, 3.25, 3.75)]
+        centers = np.array([[7.25, 5.75], [6.75, 6.75], [0.0, 0.0], [10.0, 10.0], *between])
+        grid = _CenterGrid(centers)
+        assert grid.h == 1.0
+        assert grid.nearest(np.array([[5.5, 5.5]])).tolist() == [0]
+
+    def test_one_center(self):
+        X = np.array([[0.0, 0.0], [1e6, -1e6], [2.0, 3.0]])
+        assert _CenterGrid(np.array([[2.0, 3.0]])).nearest(X).tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_blocks_do_not_change_the_result(self, dim, monkeypatch):
+        centers = cached_net_centers(0.99, dim)
+        rng = np.random.default_rng(dim)
+        X = random_directions(rng, 60, dim) * rng.uniform(0.0, 8.0, size=(60, 1))
+        expected = _CenterGrid(centers).nearest(X)
+        monkeypatch.setattr("chainmetric.sampler._CELL_QUERIES", 7)
+        monkeypatch.setattr("chainmetric.sampler._CELL_BLOCK", 5)
+        assert np.array_equal(_CenterGrid(centers).nearest(X), expected)
+
+
 class TestSphereNet:
-    @settings(max_examples=20, deadline=None, derandomize=True)
-    @given(data=st.data(), dim=st.sampled_from([3, 4]))
-    def test_bit_equal_to_whole_cube(self, data, dim):
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data(), dim=st.sampled_from([3, 4, 5]), wide=st.booleans())
+    def test_bit_equal_to_whole_cube(self, data, dim, wide):
         if dim == 3:
             radius = data.draw(st.floats(1.0, 3.0))
             spacing = data.draw(st.floats(0.25, 1.0))
-        else:
+        elif dim == 4:
             radius = data.draw(st.floats(1.0, 1.5))
             spacing = data.draw(st.floats(0.6, 1.2))
+        else:  # a small sphere at coarse spacing keeps the 5-D cube small
+            radius = data.draw(st.floats(0.5, 0.8))
+            spacing = data.draw(st.floats(1.0, 1.5))
+        if wide:  # spacing at least the radius, short of the diameter
+            spacing = radius * data.draw(st.floats(1.0, 1.9))
         assert np.array_equal(_sphere_net(radius, spacing, dim),
                               sphere_net_reference(radius, spacing, dim))
 
