@@ -33,6 +33,7 @@ class FiniteSpace:
 
     def __post_init__(self):
         D = np.asarray(self.distances, dtype=float)
+        _require_finite_entries(D, "distances")
         object.__setattr__(self, "distances", D)
         report = verify_metric_axioms(D, tol=1e-12)
         if not report.ok:
@@ -43,6 +44,7 @@ class FiniteSpace:
             W = np.asarray(self.weights, dtype=float)
             if W.shape != D.shape:
                 raise ValueError("weight matrix shape mismatch")
+            _require_finite_entries(W, "weights")
             if np.any(W < 0) or np.any(np.abs(W - W.T) > 0):
                 raise ValueError("weights must be nonnegative and symmetric")
             object.__setattr__(self, "weights", W)
@@ -85,7 +87,8 @@ def link_table(ctx: MetricContext, space: FiniteSpace) -> np.ndarray:
 
 
 def shortest_paths(W: np.ndarray, sources, target: int | None = None):
-    """Dijkstra from every source in lockstep over a dense link-cost matrix.
+    """Dijkstra from every source in lockstep over a dense link-cost matrix,
+    or over a stack of them ``(B, n, n)`` with one source per matrix.
 
     ``W[u, v]`` is the nonnegative cost of the edge u -> v, ``inf`` where
     there is none.  Each step settles, per source, the least unsettled node
@@ -98,11 +101,13 @@ def shortest_paths(W: np.ndarray, sources, target: int | None = None):
     W = np.asarray(W, dtype=float)
     sources = np.atleast_1d(np.asarray(sources, dtype=int))
     rows = np.arange(len(sources))
-    dist = np.full((len(sources), len(W)), np.inf)
+    # One matrix per source; a single matrix is shared by all, uncopied.
+    W = np.broadcast_to(W, (len(sources),) + W.shape[-2:])
+    dist = np.full((len(sources), W.shape[-1]), np.inf)
     dist[rows, sources] = 0.0
     pred = np.full(dist.shape, -1, dtype=int)
     frontier = dist.copy()  # distances of unsettled nodes, inf once settled
-    for _ in range(len(W)):
+    for _ in range(W.shape[-1]):
         u = np.argmin(frontier, axis=1)
         du = frontier[rows, u]
         if not np.any(np.isfinite(du)):
@@ -114,7 +119,7 @@ def shortest_paths(W: np.ndarray, sources, target: int | None = None):
             break  # the target is settled for every source
         # A settled node never improves: its distance is at most du and the
         # costs are nonnegative.
-        cand = du[:, None] + W[u]
+        cand = du[:, None] + W[rows, u]
         better = cand < dist
         np.copyto(dist, cand, where=better)
         np.copyto(frontier, cand, where=better)
@@ -183,10 +188,16 @@ def parse_distance_matrix(text: str) -> np.ndarray:
     if len(values) != n * n:
         raise ValueError(f"expected {n * n} entries, got {len(values)}")
     D = np.array(values).reshape(n, n)
-    if not np.isfinite(D).all():
-        i, j = np.argwhere(~np.isfinite(D))[0]
-        raise ValueError(f"entry ({i}, {j}) is {D[i, j]}; distances must be finite")
+    _require_finite_entries(D, "distances")
     return D
+
+
+def _require_finite_entries(M: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` naming the first NaN or inf entry of ``M``: every
+    comparison with NaN is false, so the axiom and sign checks pass it."""
+    if not np.isfinite(M).all():
+        i, j = np.argwhere(~np.isfinite(M))[0]
+        raise ValueError(f"entry ({i}, {j}) is {M[i, j]}; {name} must be finite")
 
 
 def load_distance_matrix(path) -> np.ndarray:

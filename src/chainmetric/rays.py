@@ -207,21 +207,22 @@ def h_pq_ray(x, q: int, cone: ConeParam, tau: float = 1e-9) -> np.ndarray:
     nx = float(np.linalg.norm(x))
     if not sphere_index(nx, tau):
         raise ValueError(f"point with norm {nx} is not on an identification sphere")
-    ray, _ = ray_through(x, cone)
+    ray, _ = ray_through(x / min(nx, 1.0), cone)
     t = _ray_sphere_param(ray, harmonic_radius(q))
     return ray.point_at(t)
 
 
 def psi(x, y, cone: ConeParam, tau: float = 1e-9) -> float:
     """Ray weight: 0 on ray-identified sphere pairs, base-point distance on a
-    shared sphere, Euclidean distance otherwise."""
+    shared sphere, Euclidean distance otherwise.  A point of sphere 1's tau
+    band inside the unit ball has the base of its radial projection."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
     p, q = sphere_index([nx, ny], tau)
     if p and q:
-        bx = ray_through(x, cone)[0].base
-        by = ray_through(y, cone)[0].base
+        bx = ray_through(x / min(nx, 1.0), cone)[0].base
+        by = ray_through(y / min(ny, 1.0), cone)[0].base
         if float(np.linalg.norm(bx - by)) <= tau:
             return 0.0
         if p == q:
@@ -232,11 +233,13 @@ def psi(x, y, cone: ConeParam, tau: float = 1e-9) -> float:
 def psi_matrix(points, D, cone: ConeParam, tau: float = 1e-9) -> np.ndarray:
     """Ray weight over a point set (rows of ``points``, or a stack of sets of
     shape ``(..., n, s)``) whose distance matrix is ``D``: identification and
-    a shared sphere both compare ray bases."""
+    a shared sphere both compare ray bases, as in :func:`psi`."""
     P = np.asarray(points, dtype=float)
-    idx = sphere_index(np.linalg.norm(P, axis=-1), tau)
+    norms = np.linalg.norm(P, axis=-1)
+    idx = sphere_index(norms, tau)
+    on = idx > 0
     bases = np.zeros_like(P)
-    bases[idx > 0] = ray_bases(P[idx > 0], cone)
+    bases[on] = ray_bases(P[on] / np.minimum(norms[on], 1.0)[:, None], cone)
     base_dist = pairwise_distances(bases)
     return sphere_weight(D, idx, base_dist, base_dist, tau)
 

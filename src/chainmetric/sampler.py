@@ -271,23 +271,6 @@ def convergence_run(
     return rows
 
 
-def _bellman_ford(W: np.ndarray, source: int) -> np.ndarray:
-    """Distances from ``source`` over a dense nonnegative cost matrix, or over
-    each of a stack of them ``(..., n, n)``, by Bellman-Ford rounds (at most
-    n - 1) for the net solver's graphs of at most 8 nodes.  Path sums
-    accumulate left to right, so the floats are Dijkstra's; a round that
-    changes no row ends the search, and extra rounds leave a settled row as
-    it is."""
-    dist = np.full(W.shape[:-1], np.inf)
-    dist[..., source] = 0.0
-    for _ in range(W.shape[-1] - 1):
-        relaxed = np.minimum(dist, (dist[..., :, None] + W).min(axis=-2))
-        if np.array_equal(relaxed, dist):
-            break
-        dist = relaxed
-    return dist
-
-
 def _row_norms(X: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of ``X``, bit-equal to
     ``float(np.linalg.norm(x))`` on the row alone (both take the dot product;
@@ -297,7 +280,7 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
 
 # Centers per grid cell on average in the nearest-center search, centers
 # per column of its distance table; queries per search and rows of cells
-# per block of a band, which bound its temporaries.
+# per block of a search, which bound its temporaries.
 _CELL_FILL = 2
 _CELL_ROW = 4
 _CELL_QUERIES = 2**9
@@ -308,28 +291,25 @@ _NET_ROWS = 2**12
 
 class _CenterGrid:
     """The centers bucketed in a uniform grid of cubic cells, for exact
-    nearest-center search by rings of cells (fixed-radius cell lists;
-    Bentley, Stanat & Williams 1977).
+    nearest-center search (fixed-radius cell lists; Bentley, Stanat &
+    Williams 1977).
 
-    ``nearest`` searches all queries at once.  Each query first searches the
-    3^s cells around the grid cell nearest to it (for a query inside the
-    grid, rings 0 and 1 around its own cell), then outward in bands of whole
-    rings: every ring its best distance can reach or, while it has none, a
-    band twice as wide as the last.  A query outside the grid counts its
-    rings from its own cell, beyond the grid, so its bands start at the
-    first ring that meets the grid.  Cells are searched in runs along the
-    last axis, whose centers are consecutive.  The chosen index is the
-    brute-force ``argmin`` of ``sqrt(sum_j (center_j - x_j)**2)``, bit for
-    bit, because:
+    ``nearest`` searches all queries at once, in two stages.  First each
+    query searches the cube of cells within R of the grid cell nearest to
+    it, with R = 1, doubled and searched again while the cube holds no
+    center.  Then a query whose best distance reaches past that cube
+    searches every cell within the best distance.  Each search takes, for
+    each prefix of cells, the row of cells along the last axis, whose
+    centers are consecutive.  The chosen index is the brute-force
+    ``argmin`` of ``sqrt(sum_j (center_j - x_j)**2)``, bit for bit, because:
 
     - each candidate distance sums its squares one coordinate at a time and
       then takes the square root, as the brute force does;
-    - a query stops only when the inner distance bound of the rings it has
-      not searched, less a slack of 1e-9 of the grid's scale, exceeds its
-      best distance by a relative 1e-9, and a band skips a run of cells only
-      when its box is that much farther than the best distance, so float
-      error in the cell assignment or in the bounds never drops a center
-      that could tie;
+    - the best distance is widened by a relative 1e-9 and a slack of 1e-9 of
+      the grid's scale wherever it bounds a search: a query skips the second
+      stage only when the cube's nearest open face lies beyond it, and a row
+      is skipped only when its box does, so float error in the cell
+      assignment or in the bounds never drops a center that could tie;
     - among equal distances the lowest center index wins.
     """
 
@@ -360,8 +340,6 @@ class _CenterGrid:
         for a, column in zip(axes, self.columns):
             np.take(a, self.order[:N], out=column[:N])
         self.slack = 1e-9 * (self.h + max(np.abs(self.lo).max(), np.abs(hi).max()))
-        # Prefix offsets of the runs of a 3^s block.
-        self.block = np.indices((3,) * (s - 1)).reshape(s - 1, -1) - 1
 
     def nearest(self, points) -> np.ndarray:
         """Index of the Euclidean-nearest center to each row of ``points``,
@@ -378,84 +356,69 @@ class _CenterGrid:
         """``nearest`` for one block of rows of ``X``."""
         axes = np.ascontiguousarray(X.T)
         Q = axes.shape[1]
-        t = np.clip((axes - self.lo[:, None]) / self.h, -2.0**52, 2.0**52)
-        cell = np.floor(t)
-        edge = np.minimum(t - cell, cell + 1.0 - t).min(axis=0)
-        cell = cell.astype(np.int64)
         top = self.top[:, None]
-        away = np.maximum(-cell, cell - top).max(axis=0)  # > 0 outside the grid
-        last = np.maximum(cell, top - cell).max(axis=0)
+        home = np.clip(self._cells(axes), 0, top)
         best = np.full(Q, np.inf)
         arg = np.full(Q, len(self.centers))
-        self._search(axes, *self._block(np.clip(cell, 0, top)), best, arg)
-        searched = np.where(away > 0, away - 1, 1)  # the last ring searched whole
-        width = np.ones(Q, dtype=np.int64)  # the next band's width while blind
+        R = np.ones(Q, dtype=np.int64)
         live = np.arange(Q)
-        while True:
-            S, e, b = searched[live], edge[live], best[live]
-            # Cells beyond ring S lie at least (S + e) * h from the query.
-            going = (S < last[live]) & ((S + e) * self.h - self.slack <= b * (1.0 + 1e-9))
-            if not going.any():
-                return arg
-            live, S, e, b = live[going], S[going], e[going], b[going]
-            reach = np.minimum((b * (1.0 + 1e-9) + self.slack) / self.h - e, last[live])
-            R = np.where(np.isfinite(b), np.floor(reach).astype(np.int64) + 1, S + width[live])
-            R = np.minimum(np.maximum(R, S + 1), last[live])
-            # Bands in blocks of about _CELL_BLOCK rows of cells.
-            rows = np.cumsum((2 * R + 1) ** (len(axes) - 1))
-            lo = 0
-            while lo < len(live):
-                hi = max(lo + 1, int(np.searchsorted(rows, rows[lo] + _CELL_BLOCK)))
-                band = self._band(axes, cell[:, live[lo:hi]], live[lo:hi], S[lo:hi] + 1,
-                                  R[lo:hi], best)
-                self._search(axes, *band, best, arg)
-                lo = hi
-            searched[live] = R
-            width[live] *= 2
+        while len(live):
+            self._cover(axes, live, home[:, live] - R[live], home[:, live] + R[live], best, arg)
+            live = live[arg[live] == len(self.centers)]
+            R[live] *= 2
+        reach = best * (1.0 + 1e-9) + self.slack
+        # Distance to the nearest face of the cube with cells beyond it.
+        below = np.where(home - R > 0, axes - (self.lo[:, None] + (home - R) * self.h), np.inf)
+        above = np.where(home + R < top, self.lo[:, None] + (home + R + 1) * self.h - axes, np.inf)
+        live = np.flatnonzero(np.minimum(below, above).min(axis=0) <= reach)
+        if len(live):
+            x, r = axes[:, live], reach[live]
+            self._cover(axes, live, self._cells(x - r), self._cells(x + r), best, arg)
+        return arg
 
-    def _block(self, home):
-        """Runs ``(q, first cell, stop cell)`` of the 3^s cells around cell
-        ``home[:, i]`` for query ``i``, query by query."""
-        prefix = home[:-1, :, None] + self.block[:, None, :]
-        inside = ((prefix >= 0) & (prefix <= self.top[:-1, None, None])).all(axis=0)
-        base = (prefix * self.strides[:-1, None, None]).sum(axis=0)
-        first = np.where(inside, base + np.maximum(home[-1] - 1, 0)[:, None], 0)
-        stop = np.where(inside, base + np.minimum(home[-1] + 1, self.top[-1])[:, None] + 1, 0)
-        return np.repeat(np.arange(home.shape[1]), self.block.shape[1]), first.ravel(), stop.ravel()
+    def _cells(self, axes) -> np.ndarray:
+        """Cell index of each coordinate of ``axes``, one axis per row,
+        counted from the grid's low corner and not clipped to the grid."""
+        t = np.clip((axes - self.lo[:, None]) / self.h, -2.0**52, 2.0**52)
+        return np.floor(t).astype(np.int64)
 
-    def _band(self, axes, cell, live, r, R, best):
-        """Runs ``(q, first cell, stop cell)`` of rings ``r[i]`` to ``R[i]``
-        around cell ``cell[:, i]`` for query ``live[i]``: for each prefix of
-        its cube of R rings inside the grid, the whole row, or for a prefix
-        inside its cube of r - 1 rings the two ends of the row beyond it;
-        runs whose box is farther than the best distance are dropped."""
-        lo = np.maximum(cell - R, 0)
-        hi = np.minimum(cell + R, self.top[:, None])
-        size = np.maximum(hi[:-1] - lo[:-1] + 1, 0)
-        count = size.prod(axis=0) * (hi[-1] >= lo[-1])
+    def _cover(self, axes, live, lo, hi, best, arg) -> None:
+        """Search cells ``lo[:, i]`` to ``hi[:, i]``, clipped to the grid, for
+        query ``live[i]``, in blocks of about ``_CELL_BLOCK`` rows of cells."""
+        top = self.top[:, None]
+        lo, hi = np.clip(lo, 0, top), np.clip(hi, 0, top)
+        rows = np.cumsum((hi[:-1] - lo[:-1] + 1).prod(axis=0))
+        a = 0
+        while a < len(live):
+            b = max(a + 1, int(np.searchsorted(rows, rows[a] + _CELL_BLOCK)))
+            self._search(axes, *self._rows(axes, live[a:b], lo[:, a:b], hi[:, a:b], best),
+                         best, arg)
+            a = b
+
+    def _rows(self, axes, live, lo, hi, best):
+        """Runs ``(q, first cell, stop cell)`` of cells ``lo[:, i]`` to
+        ``hi[:, i]`` for query ``live[i]``, one row along the last axis per
+        prefix; rows whose box is farther than the best distance are
+        dropped."""
+        size = hi[:-1] - lo[:-1] + 1
+        count = size.prod(axis=0)
         row = np.repeat(np.arange(len(live)), count)
         k = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
         q = live[row]
-        ring = np.zeros(len(row), dtype=np.int64)
         base = np.zeros(len(row), dtype=np.int64)
         gap = np.zeros(len(row))
-        for j in range(len(cell) - 1):
+        for j in range(len(axes) - 1):
             p = lo[j][row] + k % size[j][row]
             k //= size[j][row]
-            ring = np.maximum(ring, np.abs(p - cell[j][row]))
             base += p * self.strides[j]
             x, near = axes[j][q], self.lo[j] + p * self.h
             g = np.maximum(np.maximum(near - x, x - (near + self.h)), 0.0)
             gap += g * g
-        u, v, c, rr = lo[-1][row], hi[-1][row], cell[-1][row], r[row]
-        inner = ring < rr
-        ends = np.stack([u, np.where(inner, np.maximum(u, c + rr), v + 1),
-                         np.where(inner, np.minimum(v, c - rr), v), v], axis=1)
-        u, v = ends[:, :2].ravel(), ends[:, 2:].ravel()
-        q, base, gap = np.repeat(q, 2), np.repeat(base, 2), np.repeat(gap, 2)
-        x, near = axes[-1][q], self.lo[-1] + u * self.h
-        g = np.maximum(np.maximum(near - x, x - (self.lo[-1] + (v + 1) * self.h)), 0.0)
-        keep = (v >= u) & (np.sqrt(gap + g * g) - self.slack <= best[q] * (1.0 + 1e-9))
+        u, v = lo[-1][row], hi[-1][row]
+        x = axes[-1][q]
+        g = np.maximum(np.maximum(self.lo[-1] + u * self.h - x,
+                                  x - (self.lo[-1] + (v + 1) * self.h)), 0.0)
+        keep = np.sqrt(gap + g * g) - self.slack <= best[q] * (1.0 + 1e-9)
         return q[keep], (base + u)[keep], (base + v + 1)[keep]
 
     def _search(self, axes, q, first, stop, best, arg) -> None:
@@ -500,7 +463,7 @@ def make_net_solver(k: int):
     centers into one ``(8, s)`` node set with a validity mask: the sample,
     its ladder ``{1, m, m+1, k, k+1}`` (``a_m <= |x| < a_{m+1}``, only when
     ``|x| >= 1``) and the centers nearest to the sample and to its sphere-k
-    projection.  Bellman-Ford rounds over all link matrices at once give each
+    projection.  One Dijkstra over all link matrices at once gives each
     sample's shortest-path upper bound to the nearer center.
     """
     ak = harmonic_radius(k)
@@ -546,4 +509,4 @@ def _net_bounds(ctx: EuclidContext, X, grid: _CenterGrid, k: int, ak: float) -> 
                              np.ones(S, dtype=bool), far & (near_z != near_x)])
     W = ctx.link_matrix(P)
     W[~(valid[:, :, None] & valid[:, None, :])] = np.inf
-    return _bellman_ford(W, 0)[:, 6:].min(axis=1)
+    return shortest_paths(W, np.zeros(S, dtype=int))[0][:, 6:].min(axis=1)

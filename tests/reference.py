@@ -14,7 +14,7 @@ import heapq
 import numpy as np
 
 from chainmetric.rays import ConeParam, _point_to_ray_distance, ray_of
-from chainmetric.sampler import _bellman_ford, euclid_context
+from chainmetric.sampler import euclid_context
 from chainmetric.std_map import M_MAX_DEFAULT, _radii_upto, harmonic_radius, sphere_bracket
 
 
@@ -99,8 +99,8 @@ def dijkstra_reference(W: np.ndarray, source: int):
 
 def net_solver_reference(k: int):
     """Per-sample epsilon-net coverage solve: the sample, its ladder toward
-    sphere k and its two candidate centers, one link matrix and one
-    Bellman-Ford per call; returns the bound to the nearer center."""
+    sphere k and its two candidate centers, one link matrix and one heap
+    Dijkstra per call; returns the bound to the nearer center."""
     ak = harmonic_radius(k)
 
     def solve(x, centers) -> float:
@@ -120,7 +120,7 @@ def net_solver_reference(k: int):
         for c in dict.fromkeys(cand):
             pts.append(np.asarray(centers[c], dtype=float))
         ctx = euclid_context("std_phi", dim=len(x))
-        dist = _bellman_ford(ctx.link_matrix(np.array(pts)), 0)
+        dist, _ = dijkstra_reference(ctx.link_matrix(np.array(pts)), 0)
         return float(dist[first_center:].min())
 
     return solve

@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainmetric.cli import main
-from chainmetric.std_map import _ball_net, harmonic_radius, net_index
+from chainmetric.std_map import M_MAX_DEFAULT, _ball_net, harmonic_radius, net_index
 from reference import net_solver_reference, sphere_net_reference
 
 
@@ -75,6 +77,28 @@ class TestDist:
     def test_negative_radial_steps_is_usage_error(self, runner):
         result = invoke(runner, ["--radial-steps", "-1", "dist", "3,0", "0,3"])
         assert result.exit_code == 2
+
+    # One endpoint at the edge of a sphere's tau band (tau = 1e-9), just
+    # inside or outside it, or just beyond the last sphere below the cap.
+    @settings(max_examples=24, deadline=None, derandomize=True)
+    @given(weight=st.sampled_from(["std_phi", "ray_psi"]), dim=st.sampled_from([2, 3]),
+           m=st.integers(1, 12), factor=st.sampled_from([1.0, -1.0, 1.01, -1.01, None]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bracket_order_at_the_tau_band_and_the_cap(self, weight, dim, m, factor, seed):
+        rng = np.random.default_rng(seed)
+        U = rng.normal(size=(2, dim))
+        U /= np.linalg.norm(U, axis=1)[:, None]
+        if factor is None:
+            norm = harmonic_radius(M_MAX_DEFAULT - 1) * (1.0 + 1e-12)
+        else:
+            norm = harmonic_radius(m) * (1.0 + factor * 1e-9)
+        x, y = norm * U[0], rng.uniform(0.0, 3.0) * U[1]
+        points = [",".join("%.17g" % v for v in p) for p in (x, y)]
+        result = invoke(CliRunner(), ["--weight", weight, "dist", *points])
+        assert result.exit_code == 0, result.output
+        fields = dict(line.split(" ", 1) for line in result.output.splitlines())
+        lower, upper, delta = (float(fields[k]) for k in ("lower", "upper", "delta"))
+        assert lower <= upper + 1e-12 <= delta + 2e-12
 
     def test_negative_first_coordinate_needs_no_separator(self, runner):
         plain = invoke(runner, ["dist", "0,1", "-1.2,0.3"])

@@ -80,6 +80,17 @@ def test_rejects_invalid_distance_matrix():
         FiniteSpace(distances=bad)
 
 
+@pytest.mark.parametrize("field", ["distances", "weights"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_rejects_non_finite_entry(field, value):
+    # NaN passes every comparison in the axiom and weight checks.
+    matrices = {"distances": np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]),
+                "weights": np.ones((3, 3))}
+    matrices[field][0, 2] = matrices[field][2, 0] = value
+    with pytest.raises(ValueError, match=rf"entry \(0, 2\) is {value}; {field} must be finite"):
+        FiniteSpace(**matrices)
+
+
 def test_matrix_text_roundtrip(three_point_line):
     buf = io.StringIO()
     dump_distance_matrix(three_point_line.distances, buf)

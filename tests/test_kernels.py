@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from chainmetric.finite import dphi_bruteforce, dphi_exact, shortest_paths
 from chainmetric.rays import ConeParam, ray_bases, ray_of
 from chainmetric.sampler import (
-    _bellman_ford,
     _CenterGrid,
     _row_norms,
     euclid_context,
@@ -182,13 +181,18 @@ class TestShortestPaths:
                 v = int(pred[0, v])
 
 
-class TestNetSolverRounds:
+class TestStackedShortestPaths:
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(n=st.integers(1, 9), masked=st.booleans(), seed=seeds)
-    def test_equal_heap_reference(self, n, masked, seed):
-        W = random_costs(np.random.default_rng(seed), n, masked)
-        for s in range(n):
-            assert np.array_equal(_bellman_ford(W, s), dijkstra_reference(W, s)[0])
+    @given(n=st.integers(1, 9), depth=st.integers(1, 5), masked=st.booleans(), seed=seeds)
+    def test_each_slice_equals_heap_reference(self, n, depth, masked, seed):
+        rng = np.random.default_rng(seed)
+        W = np.stack([random_costs(rng, n, masked) for _ in range(depth)])
+        sources = rng.integers(n, size=depth)
+        dist, pred = shortest_paths(W, sources)
+        for b, source in enumerate(sources):
+            ref_dist, ref_pred = dijkstra_reference(W[b], source)
+            assert np.array_equal(dist[b], ref_dist)
+            assert np.array_equal(pred[b], ref_pred)
 
 
 class TestDphiExact:
@@ -381,15 +385,31 @@ class TestNearestCenter:
 
     def test_lowest_index_wins_a_tie_across_rings(self, monkeypatch):
         # Cells of side 1 from the origin: the query sits at the center of
-        # cell (5, 5); center 1 lies in its first ring, center 0 in its
-        # second, at the same distance sqrt(3.125).  Centers in the cells
-        # between them keep the first search from reaching center 0.
+        # cell (5, 5); center 1 lies in its first cube of cells, center 0
+        # beyond it, at the same distance sqrt(3.125).  The centers at
+        # x = 7.5 make the cells that small.
         monkeypatch.setattr("chainmetric.sampler._CELL_FILL", 0.12)
         between = [[7.5, y] for y in (0.25, 0.75, 1.25, 1.75, 2.25, 2.75, 3.25, 3.75)]
         centers = np.array([[7.25, 5.75], [6.75, 6.75], [0.0, 0.0], [10.0, 10.0], *between])
         grid = _CenterGrid(centers)
         assert grid.h == 1.0
         assert grid.nearest(np.array([[5.5, 5.5]])).tolist() == [0]
+
+    def test_nearest_center_beyond_a_doubled_cube(self, monkeypatch):
+        # Cells of side 1 from the origin.  Query 0 sits in the corner cell
+        # (9, 9), and the cube of cells 8-9 around it is empty.  The doubled
+        # cube (cells 7-9) holds center 3 at distance 2.4 * sqrt(2), but
+        # center 4, in cell (6, 9) beyond it, is nearer at 2.6.  Query 1
+        # sits in cell (2, 5): its cube (cells 1-3 by 4-6) holds center 5
+        # at 1.3, and only the cube's face at x = 1 lies nearer than that;
+        # center 6, in cell (0, 5) beyond it, is nearer at 1.15.
+        monkeypatch.setattr("chainmetric.sampler._CELL_FILL", 0.063)
+        centers = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [7.1, 7.1], [6.9, 9.5],
+                            [2.1, 6.8], [0.95, 5.5]])
+        X = np.array([[9.5, 9.5], [2.1, 5.5]])
+        grid = _CenterGrid(centers)
+        assert grid.h == 1.0
+        assert grid.nearest(X).tolist() == nearest_center_reference(X, centers).tolist() == [4, 6]
 
     def test_one_center(self):
         X = np.array([[0.0, 0.0], [1e6, -1e6], [2.0, 3.0]])

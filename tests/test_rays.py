@@ -148,6 +148,8 @@ class TestRayIdentification:
         assert abs(np.linalg.norm(up) - harmonic_radius(5)) < 1e-10
         back = h_pq_ray(up, 1, cone2)
         assert np.linalg.norm(back - x) < 1e-10
+        # Inside the unit ball but within tau of it: its radial projection's ray.
+        assert np.linalg.norm(h_pq_ray((1.0 - 5e-10) * x, 5, cone2) - up) < 1e-10
 
     def test_rejects_off_sphere_point(self, cone2):
         with pytest.raises(ValueError):
@@ -164,6 +166,7 @@ class TestRayWeight:
         x = np.array([np.cos(1.0), np.sin(1.0)])
         y = h_pq_ray(x, 3, cone2)
         assert psi(x, y, cone2) == 0.0
+        assert psi((1.0 - 5e-10) * x, y, cone2) == 0.0
 
     def test_generic_pair(self, cone2):
         x, y = np.array([0.3, 0.4]), np.array([2.0, 7.0])
@@ -179,7 +182,7 @@ class TestRayWeight:
     def test_matrix_agrees_with_scalar(self, cone2, rng):
         pts = [rng.normal(size=2, scale=2) for _ in range(6)]
         base = unit([np.cos(1.0), np.sin(1.0)])
-        pts += [base, h_pq_ray(base, 3, cone2), np.array([1.5, 0.0])]
+        pts += [base, h_pq_ray(base, 3, cone2), np.array([1.5, 0.0]), (1.0 - 5e-10) * base]
         P = np.array(pts)
         W = psi_matrix(P, pairwise_distances(P), cone2)
         for i in range(len(P)):
