@@ -18,7 +18,7 @@ import numpy as np
 from .completion import nonequivalence_experiment
 from .core import certificate, lower_bound_certificate
 from .finite import FiniteSpace, dphi_exact, load_distance_matrix
-from .rays import ConeParam, boundary_map_h_ray, ray_distance, ray_of
+from .rays import ConeParam, Ray, boundary_map_h_ray, ray_directions, ray_distance
 from .sampler import (
     SamplerConfig,
     approx_dphi,
@@ -305,12 +305,13 @@ def rays_cmd(opts, samples, delta, dimension):
         raise click.UsageError(str(exc))
     rng = np.random.default_rng(int(opts.get("seed", 0)))
     factor = 1.0 / (2.0 * np.sqrt(2.0))
+    U = rng.normal(size=(samples, 2, dimension))
+    U /= np.linalg.norm(U, axis=2)[..., None]
+    D = ray_directions(U.reshape(-1, dimension), cone).reshape(U.shape)
     lines = []
     violations = 0
-    for _ in range(samples):
-        u = rng.normal(size=(2, dimension))
-        u /= np.linalg.norm(u, axis=1)[:, None]
-        r1, r2 = ray_of(u[0], cone), ray_of(u[1], cone)
+    for u, d in zip(U, D):
+        r1, r2 = Ray(base=u[0], direction=d[0]), Ray(base=u[1], direction=d[1])
         sep = ray_distance(r1, r2)
         floor = factor * float(np.linalg.norm(u[0] - u[1]))
         if sep < floor - 1e-9:

@@ -258,11 +258,11 @@ def nonequivalence_experiment(
     rows = []
     ok = True
     prev_cap = np.inf
-    for i in range(1, horizon + 1):
+    b_pts = h_pq_ray(b1, np.arange(1, horizon + 1), cone)
+    for i, b_pt in enumerate(b_pts, start=1):
         ai = harmonic_radius(i)
         a_pt = np.zeros(s)
         a_pt[0] = ai
-        b_pt = h_pq_ray(b1, i, cone)
         psi_measured = float(psi_solver(a_pt, b_pt))
         phi_measured = float(phi_solver(a_pt, b_pt))
         cap = 2.0 / (1.0 + ai) + delta / (2.0 * ai)

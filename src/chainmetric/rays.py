@@ -8,6 +8,11 @@ the polar angle.  The ray field fills the region outside the unit ball,
 with exactly one ray through every exterior point.  Because distinct rays
 stay a definite distance apart (at least d_E(x,y)/(2*sqrt(2)) for bases x,
 y), the resulting compactification is not equivalent to the radial one.
+
+The field's forward map is batched over stacks of bases: ray directions
+(:func:`ray_directions`) and sphere crossings (:func:`ray_crossings`);
+:func:`ray_bases` inverts it.  :func:`ray_of`, :func:`ray_through` and
+:func:`h_pq_ray` are one-row calls of these kernels.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .std_map import harmonic_radius, pairwise_distances, sphere_index, sphere_weight
+from .std_map import _radii_upto, pairwise_distances, sphere_index, sphere_weight
 
 
 @dataclass(frozen=True)
@@ -89,24 +94,40 @@ def bend_angle(x, cone: ConeParam) -> float:
     return float(np.arctan2(dy, dx))
 
 
-def _half_plane_unit(x: np.ndarray, cone: ConeParam) -> np.ndarray:
-    """Unit vector orthogonal to the axis, on x's side of it."""
-    w = x.copy()
-    w[0] = 0.0
-    n = float(np.linalg.norm(w))
-    if n == 0.0:
-        raise ValueError("point on the axis spans no half-plane")
-    return w / n
+def ray_directions(bases, cone: ConeParam) -> np.ndarray:
+    """Directions of the rays of the field based at the rows of ``bases``,
+    unit-sphere points of shape ``(n, s)``: ``dx * axis`` inside the cones,
+    and ``dx * axis + dy * w_hat`` in between, where ``w_hat`` is the unit
+    vector orthogonal to the axis on the base's side of it."""
+    B = np.asarray(bases, dtype=float)
+    alpha = np.arccos(np.clip(B[:, 0] / np.sqrt(np.vecdot(B, B)), -1.0, 1.0))
+    dx, dy = _field_direction(alpha, cone.delta)
+    D = dx[:, None] * cone.axis
+    bent = dy != 0.0
+    W = B[bent]
+    W[:, 0] = 0.0
+    D[bent] += dy[bent, None] * (W / np.sqrt(np.vecdot(W, W))[:, None])
+    return D
+
+
+def ray_crossings(bases, radii, cone: ConeParam) -> np.ndarray:
+    """Points where the rays of the field based at the rows of ``bases``
+    cross the spheres of ``radii`` >= 1, a vector of k radii or one row of k
+    per base: shape ``(n, k, s)``.  The norm along a ray increases strictly
+    (its direction is within pi/4 of the outward radial at the base), so the
+    crossing is the larger root."""
+    B = np.asarray(bases, dtype=float)
+    D = ray_directions(B, cone)
+    R = np.asarray(radii, dtype=float)
+    bd = np.vecdot(B, D)[:, None]
+    t = -bd + np.sqrt(bd * bd - (1.0 - R * R))
+    return B[:, None, :] + t[..., None] * D[:, None, :]
 
 
 def ray_of(x, cone: ConeParam) -> Ray:
     """The ray of the field based at a unit-sphere point."""
     x = np.asarray(x, dtype=float)
-    dx, dy = _field_direction(polar_angle(x, cone), cone.delta)
-    if dy == 0.0:  # inside a cone: parallel to the axis
-        return Ray(base=x, direction=dx * cone.axis)
-    direction = dx * cone.axis + dy * _half_plane_unit(x, cone)
-    return Ray(base=x, direction=direction)
+    return Ray(base=x, direction=ray_directions(x[None, :], cone)[0])
 
 
 def _point_to_ray_distance(y: np.ndarray, ray: Ray) -> float:
@@ -186,30 +207,20 @@ def ray_through(y, cone: ConeParam) -> tuple[Ray, float]:
     return ray, _point_to_ray_distance(y, ray)
 
 
-def _ray_sphere_param(ray: Ray, radius: float) -> float:
-    """Parameter t >= 0 where the ray meets the sphere of the given radius.
-
-    The norm along the ray is strictly increasing on t >= 0 (the direction
-    makes an angle < pi/4 with the outward radial at the base), so for
-    radius >= 1 the admissible root is the larger one.
-    """
-    bd = float(np.dot(ray.base, ray.direction))
-    disc = bd * bd - (1.0 - radius * radius)
-    if disc < 0.0:
-        raise RuntimeError(f"ray misses sphere of radius {radius}")
-    return -bd + np.sqrt(disc)
-
-
-def h_pq_ray(x, q: int, cone: ConeParam, tau: float = 1e-9) -> np.ndarray:
+def h_pq_ray(x, q, cone: ConeParam, tau: float = 1e-9) -> np.ndarray:
     """Ray identification: slide a point of its sphere onto sphere q along
-    the unique ray of the field through it."""
+    the unique ray of the field through it; an array of indices q gives one
+    point per index, shape ``q.shape + x.shape``."""
     x = np.asarray(x, dtype=float)
     nx = float(np.linalg.norm(x))
     if not sphere_index(nx, tau):
         raise ValueError(f"point with norm {nx} is not on an identification sphere")
-    ray, _ = ray_through(x / min(nx, 1.0), cone)
-    t = _ray_sphere_param(ray, harmonic_radius(q))
-    return ray.point_at(t)
+    q = np.asarray(q)
+    if np.any(q < 1):
+        raise ValueError(f"sphere index must be >= 1, got {q.min()}")
+    base = ray_bases(x[None, :] / min(nx, 1.0), cone)
+    points = ray_crossings(base, _radii_upto(int(q.max()))[q.ravel() - 1], cone)
+    return points.reshape(q.shape + x.shape)
 
 
 def psi(x, y, cone: ConeParam, tau: float = 1e-9) -> float:

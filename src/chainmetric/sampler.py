@@ -16,10 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import rays as _rays
 from .core import Chain, MetricContext
 from .finite import shortest_paths
-from .rays import ConeParam, psi, psi_matrix, ray_of, ray_through
+from .rays import ConeParam, psi, psi_matrix, ray_crossings, ray_through
 from .std_map import (
     _radii_upto,
     harmonic_radius,
@@ -143,56 +142,44 @@ def build_sample(
     plus angular nets placed exactly on the identification spheres."""
     if weight_kind == "ray_psi":
         cone = cone or ConeParam(dim=config.dimension)
-    pts, prov = [], []
     for e in endpoints:
         e = np.asarray(e, dtype=float)
         if not np.all(np.isfinite(e)) or len(e) != config.dimension:
             raise ValueError(f"bad endpoint {e!r} for dimension {config.dimension}")
-        pts.append(e)
-        prov.append("endpoint")
+    s, M, R = config.dimension, config.max_sphere_index, config.radial_steps
 
-    M = config.max_sphere_index
+    def ladder(bases, radii):
+        """The identification map through each base onto each of ``radii``, a
+        vector or one row per base: shape ``(bases, radii, s)``."""
+        if weight_kind == "std_phi":
+            return radii[..., None] * bases[:, None, :]
+        return ray_crossings(bases, radii, cone)
+
     dirs = _net_directions(config)
-    if weight_kind == "std_phi":
-        for m in range(1, M + 1):
-            am = harmonic_radius(m)
-            for u in dirs:
-                pts.append(am * u)
-                prov.append(f"sphere({m})")
-    else:
-        for u in dirs:
-            pts.append(u)
-            prov.append("sphere(1)")
-            ray = ray_of(u, cone)
-            for m in range(2, M + 1):
-                t = _rays._ray_sphere_param(ray, harmonic_radius(m))
-                pts.append(ray.point_at(t))
-                prov.append("ray-ladder")
+    if weight_kind == "std_phi":  # sphere by sphere
+        net = ladder(dirs, _radii_upto(M)).swapaxes(0, 1)
+        net_prov = [f"sphere({m})" for m in range(1, M + 1) for _ in dirs]
+    else:  # ray by ray, from its base on sphere 1
+        net = np.concatenate([dirs[:, None], ladder(dirs, _radii_upto(M)[1:])], axis=1)
+        net_prov = (["sphere(1)"] + ["ray-ladder"] * (M - 1)) * len(dirs)
 
-    for e in endpoints:
-        e = np.asarray(e, dtype=float)
-        n = float(np.linalg.norm(e))
-        if n < 1.0:
-            continue
-        m = sphere_bracket(n) if n > 1.0 else 1
-        if weight_kind == "std_phi":  # the identification map through e
-            anchor_pt, ladder = e / n, "radial"
-            at = lambda j: harmonic_radius(j) * anchor_pt
-        else:
-            ray, _ = ray_through(e, cone)
-            anchor_pt, ladder = ray.base, "ray-ladder"
-            at = lambda j: ray.point_at(_rays._ray_sphere_param(ray, harmonic_radius(j)))
-        for j in (m, m + 1):
-            pts.append(at(j))
-            prov.append(f"sphere({j})")
-        for j in range(1, M + 1):
-            pts.append(at(j))
-            prov.append(ladder)
-        for j in range(1, config.radial_steps + 1):
-            f = j / (config.radial_steps + 1)
-            pts.append((1.0 - f) * anchor_pt + f * e)
-            prov.append("radial")
-    return _dedupe(pts, prov)
+    E = np.asarray(endpoints, dtype=float).reshape(-1, s)
+    norms = _row_norms(E)
+    far = norms >= 1.0
+    m, X = sphere_bracket(norms[far]), E[far]  # a_m <= |x| < a_{m+1}
+    if weight_kind == "std_phi":
+        anchors, name = X / norms[far, None], "radial"
+    else:
+        anchors, name = np.reshape([ray_through(x, cone)[0].base for x in X], (-1, s)), "ray-ladder"
+    # Each endpoint of norm >= 1: its sphere pair, its ladder, its radial steps.
+    j = np.column_stack([m, m + 1, np.broadcast_to(np.arange(1, M + 1), (len(m), M))])
+    f = np.arange(1, R + 1)[:, None] / (R + 1)
+    ladders = np.concatenate([ladder(anchors, _radii_upto(int(j.max(initial=M)))[j - 1]),
+                              (1.0 - f) * anchors[:, None, :] + f * X[:, None, :]], axis=1)
+    prov = [p for k in m
+            for p in [f"sphere({k})", f"sphere({k + 1})"] + [name] * M + ["radial"] * R]
+    points = np.vstack([E, net.reshape(-1, s), ladders.reshape(-1, s)])
+    return _dedupe(points, ["endpoint"] * len(E) + net_prov + prov)
 
 
 @dataclass

@@ -1,8 +1,10 @@
 """Loop-per-element reference implementations for the vectorized kernels.
 
 These are the scalar algorithms the library used before its batched
-kernels: one sphere lookup per norm, one bisection per point for the ray
-base, a binary-heap Dijkstra per source, one shortest-path solve per
+kernels: one sphere lookup per norm, the ray of one base point at a time
+and its crossing with one sphere at a time, a sample built one direction
+and one sphere at a time, one bisection per point for the ray base, a
+binary-heap Dijkstra per source, one shortest-path solve per
 epsilon-net sample, a whole-cube grid for the 3-D sphere net and a
 brute-force nearest-center search.  They
 exist only so the tests can hold the kernels to them.
@@ -13,8 +15,8 @@ import heapq
 
 import numpy as np
 
-from chainmetric.rays import ConeParam, _point_to_ray_distance, ray_of
-from chainmetric.sampler import euclid_context
+from chainmetric.rays import ConeParam, Ray, _field_direction, _point_to_ray_distance, ray_bases
+from chainmetric.sampler import NodeSet, SamplerConfig, _dedupe, _net_directions, euclid_context
 from chainmetric.std_map import M_MAX_DEFAULT, _radii_upto, harmonic_radius, sphere_bracket
 
 
@@ -32,6 +34,77 @@ def sphere_index_reference(norm: float, tau: float = 1e-9, m_max: int = M_MAX_DE
     return None
 
 
+def ray_of_reference(x, cone: ConeParam) -> Ray:
+    """The ray of the field based at one unit-sphere point: its polar angle,
+    the field law at that angle and, outside the cones, the unit vector
+    orthogonal to the axis on x's side of it."""
+    x = np.asarray(x, dtype=float)
+    alpha = float(np.arccos(np.clip(float(x[0] / np.linalg.norm(x)), -1.0, 1.0)))
+    dx, dy = _field_direction(alpha, cone.delta)
+    if dy == 0.0:  # inside a cone: parallel to the axis
+        return Ray(base=x, direction=dx * cone.axis)
+    w = x.copy()
+    w[0] = 0.0
+    return Ray(base=x, direction=dx * cone.axis + dy * (w / float(np.linalg.norm(w))))
+
+
+def ray_crossing_reference(ray: Ray, radius: float) -> np.ndarray:
+    """The point where a ray meets the sphere of the given radius >= 1: the
+    larger root of |base + t direction| = radius."""
+    bd = float(np.dot(ray.base, ray.direction))
+    return ray.point_at(-bd + np.sqrt(bd * bd - (1.0 - radius * radius)))
+
+
+def build_sample_reference(config: SamplerConfig, endpoints, weight_kind: str = "std_phi",
+                           cone: ConeParam = None) -> NodeSet:
+    """The sample built point by point: the endpoints, the net direction by
+    direction and sphere by sphere, then for each endpoint of norm >= 1 its
+    sphere pair, its ladder and its radial steps."""
+    if weight_kind == "ray_psi":
+        cone = cone or ConeParam(dim=config.dimension)
+    pts = [np.asarray(e, dtype=float) for e in endpoints]
+    prov = ["endpoint"] * len(pts)
+    M = config.max_sphere_index
+    dirs = _net_directions(config)
+    if weight_kind == "std_phi":
+        for m in range(1, M + 1):
+            for u in dirs:
+                pts.append(harmonic_radius(m) * u)
+                prov.append(f"sphere({m})")
+    else:
+        for u in dirs:
+            pts.append(u)
+            prov.append("sphere(1)")
+            ray = ray_of_reference(u, cone)
+            for m in range(2, M + 1):
+                pts.append(ray_crossing_reference(ray, harmonic_radius(m)))
+                prov.append("ray-ladder")
+    for e in endpoints:
+        e = np.asarray(e, dtype=float)
+        n = float(np.linalg.norm(e))
+        if n < 1.0:
+            continue
+        m = sphere_bracket(n) if n > 1.0 else 1
+        if weight_kind == "std_phi":
+            anchor, ladder = e / n, "radial"
+            at = lambda j: harmonic_radius(j) * anchor
+        else:
+            ray = ray_of_reference(ray_bases(e[None, :], cone)[0], cone)
+            anchor, ladder = ray.base, "ray-ladder"
+            at = lambda j: ray_crossing_reference(ray, harmonic_radius(j))
+        for j in (m, m + 1):
+            pts.append(at(j))
+            prov.append(f"sphere({j})")
+        for j in range(1, M + 1):
+            pts.append(at(j))
+            prov.append(ladder)
+        for j in range(1, config.radial_steps + 1):
+            f = j / (config.radial_steps + 1)
+            pts.append((1.0 - f) * anchor + f * e)
+            prov.append("radial")
+    return _dedupe(pts, prov)
+
+
 def ray_through_reference(y, cone: ConeParam, max_iter: int = 200):
     """Ray of the field through y by scalar bisection on the base polar angle
     inside y's half-plane; returns the ray and its residual distance to y."""
@@ -43,7 +116,7 @@ def ray_through_reference(y, cone: ConeParam, max_iter: int = 200):
     w[0] = 0.0
     q = float(np.linalg.norm(w))
     if q < 1e-12:
-        ray = ray_of(cone.axis if y[0] > 0 else -cone.axis, cone)
+        ray = ray_of_reference(cone.axis if y[0] > 0 else -cone.axis, cone)
         return ray, _point_to_ray_distance(y, ray)
     w_hat = w / q
     p = float(y[0])
@@ -52,7 +125,7 @@ def ray_through_reference(y, cone: ConeParam, max_iter: int = 200):
         return np.cos(beta) * cone.axis + np.sin(beta) * w_hat
 
     def signed_offset(beta: float) -> float:
-        ray = ray_of(base_at(beta), cone)
+        ray = ray_of_reference(base_at(beta), cone)
         dx = float(np.dot(ray.direction, cone.axis))
         dy = float(np.dot(ray.direction, w_hat))
         vx = p - float(np.dot(ray.base, cone.axis))
@@ -68,7 +141,7 @@ def ray_through_reference(y, cone: ConeParam, max_iter: int = 200):
             hi = mid
         if hi - lo < 1e-15:
             break
-    ray = ray_of(base_at(0.5 * (lo + hi)), cone)
+    ray = ray_of_reference(base_at(0.5 * (lo + hi)), cone)
     return ray, _point_to_ray_distance(y, ray)
 
 

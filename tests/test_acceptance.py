@@ -18,8 +18,8 @@ from chainmetric.core import (
 from chainmetric.finite import dphi_bruteforce, dphi_exact
 from chainmetric.rays import (
     ConeParam,
-    _ray_sphere_param,
     h_pq_ray,
+    ray_crossings,
     ray_distance,
     ray_of,
     ray_through,
@@ -256,8 +256,7 @@ def test_criterion_10_sphere_offset():
         norm = rng.uniform(harmonic_radius(m), harmonic_radius(m + 1))
         x = norm * random_unit(rng, 3)
         ray, _ = ray_through(x, cone)
-        t = _ray_sphere_param(ray, harmonic_radius(m))
-        y = ray.point_at(t)
+        y = ray_crossings(ray.base[None, :], [harmonic_radius(m)], cone)[0, 0]
         assert np.linalg.norm(y - x) <= np.sqrt(2.0) / (m + 1) + 1e-9
     report(10, "sphere offset", "1000 between-sphere points, m up to 50")
 

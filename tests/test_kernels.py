@@ -1,5 +1,5 @@
-"""The batched kernels (sphere classification, pairwise distances, ray
-inversion, shortest paths, stacked link costs, the epsilon-net solver,
+"""The batched kernels (sphere classification, pairwise distances, the ray
+field and its inversion, the structured sample, shortest paths, stacked link costs, the epsilon-net solver,
 nearest-center search and sphere net) against their loop-per-element
 references and the brute-force oracle."""
 import functools
@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainmetric.finite import dphi_bruteforce, dphi_exact, shortest_paths
-from chainmetric.rays import ConeParam, ray_bases, ray_of
+from chainmetric.rays import ConeParam, ray_bases, ray_crossings, ray_directions, ray_of
 from chainmetric.sampler import (
+    SamplerConfig,
     _CenterGrid,
     _row_norms,
+    build_sample,
     euclid_context,
     make_net_solver,
 )
@@ -28,9 +30,12 @@ from chainmetric.std_map import (
 
 from conftest import random_finite_space
 from reference import (
+    build_sample_reference,
     dijkstra_reference,
     nearest_center_reference,
     net_solver_reference,
+    ray_crossing_reference,
+    ray_of_reference,
     ray_through_reference,
     sphere_index_reference,
     sphere_net_reference,
@@ -142,6 +147,107 @@ class TestRayBases:
         cone = ConeParam(delta=0.6, dim=2)
         with pytest.raises(ValueError):
             ray_bases(np.array([[3.0, 0.0], [0.5, 0.5]]), cone)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal float bits, so 0.0 and -0.0 differ."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def field_bases(draw, dim, delta):
+    """Unit bases of the ray field, shape (n, dim): on the axis either way,
+    inside either cone, at or one float off a cone edge, and anywhere.  The
+    part orthogonal to the axis is random, or one signed coordinate axis
+    with signed zeros elsewhere."""
+    rng = np.random.default_rng(draw(seeds))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["axis", "cone", "edge", "any"]))
+        if kind == "axis":
+            rows.append(draw(st.sampled_from([1.0, -1.0])) * np.eye(dim)[0])
+            continue
+        if kind == "cone":
+            polar = draw(st.floats(0.0, delta))
+        elif kind == "edge":
+            polar = np.nextafter(delta, draw(st.sampled_from([-np.inf, 0.0, np.inf])))
+        else:
+            polar = draw(st.floats(0.0, np.pi))
+        if kind != "any" and draw(st.booleans()):
+            polar = np.pi - polar
+        if draw(st.booleans()):
+            v = rng.normal(size=dim - 1)
+            v /= np.linalg.norm(v)
+        else:
+            v = np.zeros(dim - 1) * draw(st.sampled_from([1.0, -1.0]))
+            v[draw(st.integers(0, dim - 2))] = draw(st.sampled_from([1.0, -1.0]))
+        rows.append(np.concatenate([[np.cos(polar)], np.sin(polar) * v]))
+    return np.array(rows)
+
+
+open_deltas = st.floats(0.0, np.pi / 4.0, exclude_min=True, exclude_max=True)
+
+
+class TestRayField:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), dim=st.integers(2, 5), delta=open_deltas)
+    def test_directions_bit_equal_to_per_point_reference(self, data, dim, delta):
+        cone = ConeParam(delta=delta, dim=dim)
+        B = data.draw(field_bases(dim, delta))
+        expected = [ray_of_reference(b, cone).direction for b in B]
+        assert same_bits(ray_directions(B, cone), expected)
+        assert same_bits(ray_of(B[0], cone).direction, expected[0])
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data(), dim=st.integers(2, 5), delta=open_deltas, per_row=st.booleans())
+    def test_crossings_bit_equal_to_per_point_reference(self, data, dim, delta, per_row):
+        cone = ConeParam(delta=delta, dim=dim)
+        B = data.draw(field_bases(dim, delta))
+        m = data.draw(st.lists(st.integers(1, 10**4), min_size=1, max_size=6))
+        radii = [harmonic_radius(j) for j in m] + [data.draw(st.floats(1.0, 20.0))]
+        if per_row:  # one row of radii per base
+            radii = np.roll(np.tile(radii, (len(B), 1)), 1, axis=0)
+        R = np.broadcast_to(radii, (len(B), len(m) + 1))
+        expected = [[ray_crossing_reference(ray_of_reference(b, cone), r) for r in row]
+                    for b, row in zip(B, R)]
+        assert same_bits(ray_crossings(B, radii, cone), expected)
+
+
+@st.composite
+def sample_endpoints(draw, dim):
+    """Endpoints of a sample: inside the unit ball, within tau below it,
+    exactly on sphere 1 or sphere m, between two spheres, anywhere up to
+    norm 14."""
+    rng = np.random.default_rng(draw(seeds))
+    u = rng.normal(size=dim)
+    u /= np.linalg.norm(u)
+    axis = np.eye(dim)[draw(st.integers(0, dim - 1))] * draw(st.sampled_from([1.0, -1.0]))
+    m = draw(st.integers(1, 40))
+    return draw(st.sampled_from([
+        0.5 * u, (1.0 - 5e-10) * u, axis, harmonic_radius(m) * axis, harmonic_radius(m) * u,
+        0.5 * (harmonic_radius(m) + harmonic_radius(m + 1)) * u, rng.uniform(0.0, 14.0) * u,
+    ]))
+
+
+class TestBuildSample:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), weight=st.sampled_from(["std_phi", "ray_psi"]),
+           dim=st.integers(2, 4), delta=deltas)
+    def test_bit_equal_to_per_point_reference(self, data, weight, dim, delta):
+        config = SamplerConfig(
+            dimension=dim,
+            max_sphere_index=data.draw(st.integers(1, 6)),
+            angular_resolution=data.draw(st.sampled_from([0.4, 0.5, 1.0, 2.5])),
+            radial_steps=data.draw(st.integers(0, 3)),
+            seed=data.draw(st.integers(0, 3)),
+        )
+        endpoints = data.draw(st.lists(sample_endpoints(dim), max_size=3))
+        cone = ConeParam(delta=delta, dim=dim)
+        nodes = build_sample(config, endpoints, weight, cone)
+        expected = build_sample_reference(config, endpoints, weight, cone)
+        assert same_bits(nodes.points, expected.points)
+        assert nodes.provenance == expected.provenance
 
 
 def random_costs(rng, n, masked: bool) -> np.ndarray:

@@ -155,6 +155,16 @@ class TestRayIdentification:
         with pytest.raises(ValueError):
             h_pq_ray(np.array([1.2, 0.0]), 2, cone2)
 
+    def test_array_of_indices_is_one_point_per_index(self, cone3):
+        x = harmonic_radius(2) * unit([0.3, 0.9, -0.2])
+        q = np.array([[1, 4], [2, 9]])
+        out = h_pq_ray(x, q, cone3)
+        assert out.shape == (2, 2, 3)
+        for i, j in np.ndindex(q.shape):
+            assert np.array_equal(out[i, j], h_pq_ray(x, int(q[i, j]), cone3))
+        with pytest.raises(ValueError):
+            h_pq_ray(x, np.array([3, 0]), cone3)
+
 
 class TestRayWeight:
     def test_same_first_sphere(self, cone2):
