@@ -24,16 +24,12 @@ from .sampler import (
     approx_dphi,
     build_graph,
     build_sample,
+    check_sample,
     convergence_run,
     euclid_context,
     make_net_solver,
 )
-from .std_map import (
-    boundary_map_h_std,
-    boundary_map_k_std,
-    epsilon_net,
-    sphere_bracket,
-)
+from .std_map import boundary_map_h_std, boundary_map_k_std, epsilon_net
 
 FMT = "{:.17g}"
 # Center rows that ``net`` formats and writes at a time.
@@ -228,9 +224,7 @@ def converge(opts, x, y, levels):
     try:
         ectx = _context(opts, len(px))
         cfg = _sampler_config(opts, len(px))
-        for n in (np.linalg.norm(px), np.linalg.norm(py)):
-            if n > 1.0:
-                sphere_bracket(float(n))  # raises beyond the last sphere
+        check_sample(cfg, [px, py], levels)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     rows = convergence_run(ectx, px, py, levels, cfg)

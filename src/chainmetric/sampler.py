@@ -20,6 +20,7 @@ from .core import Chain, MetricContext
 from .finite import shortest_paths
 from .rays import ConeParam, psi, psi_matrix, ray_crossings, ray_through
 from .std_map import (
+    M_MAX_DEFAULT,
     _radii_upto,
     harmonic_radius,
     pairwise_distances,
@@ -42,7 +43,7 @@ class SamplerConfig:
             raise ValueError(f"dimension must be >= 2, got {self.dimension}")
         if self.max_sphere_index < 1:
             raise ValueError("max_sphere_index must be >= 1")
-        if self.angular_resolution <= 0:
+        if not self.angular_resolution > 0:
             raise ValueError("angular_resolution must be positive")
         if self.radial_steps < 0:
             raise ValueError(f"radial_steps must be >= 0, got {self.radial_steps}")
@@ -110,16 +111,68 @@ class NodeSet:
         return len(self.points)
 
 
-def _net_directions(config: SamplerConfig) -> np.ndarray:
+# The most nodes a sample graph may hold.  A graph's peak memory is about 39
+# bytes per node pair: the 2535-node 2-D sample peaks at 250 MB, some five
+# n x n float matrices.  So 5000 nodes peak near 1 GB, and a 4951-node 3-D
+# sample, which needs 196 MB for each n x n matrix, still fits.
+MAX_NODES = 5000
+
+
+def _direction_count(config: SamplerConfig) -> float:
+    """Directions of the sphere nets of ``config``, as a float (inf when there
+    are too many to count)."""
     s, res = config.dimension, config.angular_resolution
     if s == 2:
-        count = max(1, int(np.ceil(2.0 * np.pi / res)))
+        return max(1.0, np.ceil(2.0 * np.pi / res))
+    with np.errstate(over="ignore"):
+        return min(2000.0, max(8.0, np.ceil(np.float64(np.pi / res) ** (s - 1))))
+
+
+def _net_directions(config: SamplerConfig) -> np.ndarray:
+    s, count = config.dimension, int(_direction_count(config))
+    if s == 2:
         angles = np.arange(count) * (2.0 * np.pi / count)
         return np.column_stack([np.cos(angles), np.sin(angles)])
-    count = min(2000, max(8, int(np.ceil((np.pi / res) ** (s - 1)))))
     rng = np.random.default_rng(config.seed)
     dirs = rng.normal(size=(count, s))
     return dirs / np.linalg.norm(dirs, axis=1)[:, None]
+
+
+def _level_config(config: SamplerConfig, level: int) -> SamplerConfig:
+    """Refinement level ``level`` of ``config``: each level halves the angular
+    resolution and doubles the radial step count."""
+    return replace(
+        config,
+        angular_resolution=config.angular_resolution / (2**level),
+        radial_steps=config.radial_steps * (2**level),
+    )
+
+
+def check_sample(config: SamplerConfig, endpoints, levels: int = 1) -> None:
+    """Raise ValueError for an endpoint that is not finite, has the wrong
+    dimension or lies beyond the last sphere, and when the samples of the
+    first ``levels`` refinement levels of ``config`` may hold more than
+    ``MAX_NODES`` nodes in all; the count comes from the config alone, before
+    any sample is built."""
+    for e in endpoints:
+        e = np.asarray(e, dtype=float)
+        if e.shape != (config.dimension,) or not np.all(np.isfinite(e)):
+            raise ValueError(f"bad endpoint {e!r} for dimension {config.dimension}")
+        # a_m <= 1 + ln m: a larger coordinate puts the endpoint beyond the
+        # last sphere, and is caught before its norm can overflow.
+        if np.max(np.abs(e)) > 1.0 + np.log(M_MAX_DEFAULT):
+            raise ValueError(f"endpoint coordinate {np.max(np.abs(e))} "
+                             f"beyond sphere index cap {M_MAX_DEFAULT}")
+    norms = _row_norms(np.reshape(np.asarray(endpoints, dtype=float), (-1, config.dimension)))
+    sphere_bracket(norms[norms > 1.0])  # raises beyond the last sphere
+    nodes = 0.0
+    for level in range(levels):
+        cfg = _level_config(config, level)
+        # Either count alone above MAX_NODES decides; clamped, no product overflows.
+        M, R = (min(v, MAX_NODES + 1) for v in (cfg.max_sphere_index, cfg.radial_steps))
+        nodes += _direction_count(cfg) * M + len(endpoints) * (3 + M + R)
+        if nodes > MAX_NODES:
+            raise ValueError(f"the sample may hold more than {MAX_NODES} nodes")
 
 
 def _dedupe(points, provenance: list) -> NodeSet:
@@ -142,10 +195,7 @@ def build_sample(
     plus angular nets placed exactly on the identification spheres."""
     if weight_kind == "ray_psi":
         cone = cone or ConeParam(dim=config.dimension)
-    for e in endpoints:
-        e = np.asarray(e, dtype=float)
-        if not np.all(np.isfinite(e)) or len(e) != config.dimension:
-            raise ValueError(f"bad endpoint {e!r} for dimension {config.dimension}")
+    check_sample(config, endpoints)
     s, M, R = config.dimension, config.max_sphere_index, config.radial_steps
 
     def ladder(bases, radii):
@@ -242,15 +292,11 @@ def convergence_run(
     if levels < 1:
         raise ValueError("levels must be >= 1")
     config = config or SamplerConfig(dimension=len(np.asarray(x, float)))
+    check_sample(config, [x, y], levels)
     rows = []
     nodes = None
     for level in range(levels):
-        cfg = replace(
-            config,
-            angular_resolution=config.angular_resolution / (2**level),
-            radial_steps=config.radial_steps * (2**level),
-        )
-        fresh = build_sample(cfg, [x, y], ctx.weight_kind, ctx.cone)
+        fresh = build_sample(_level_config(config, level), [x, y], ctx.weight_kind, ctx.cone)
         nodes = fresh if nodes is None else _merge(nodes, fresh)
         graph = build_graph(ctx, nodes)
         value, _ = approx_dphi(graph, x, y)

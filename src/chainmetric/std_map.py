@@ -34,6 +34,15 @@ def _radii_upto(m: int) -> np.ndarray:
     return _RADII[:m]
 
 
+def _radii_reaching(norm: float) -> np.ndarray:
+    """The radii table a_1..a_L, grown from L = 1024 in doubling steps until
+    a_L >= ``norm`` or L = M_MAX_DEFAULT."""
+    radii = _radii_upto(1024)
+    while radii[-1] < norm and len(radii) < M_MAX_DEFAULT:
+        radii = _radii_upto(min(M_MAX_DEFAULT, 2 * len(radii)))
+    return radii
+
+
 def harmonic_radius(m: int) -> float:
     """a_m = 1 + 1/2 + ... + 1/m."""
     if m < 1:
@@ -49,10 +58,7 @@ def sphere_index(norms, tau: float = 1e-9) -> np.ndarray:
     live = ~(norms < 1.0 - tau)  # NaN stays live and matches no sphere
     if not np.any(live):
         return idx
-    top = np.fmax.reduce(norms[live])
-    radii = _radii_upto(1024)
-    while radii[-1] < top * (1.0 + tau) and len(radii) < M_MAX_DEFAULT:
-        radii = _radii_upto(min(M_MAX_DEFAULT, 2 * len(radii)))
+    radii = _radii_reaching(np.fmax.reduce(norms[live]) * (1.0 + tau))
     pos = np.searchsorted(radii, norms)  # a_pos < norm <= a_{pos+1}
     for cand in (pos + 1, pos):  # the lower sphere wins a shared band
         a = radii[np.clip(cand, 1, len(radii)) - 1]
@@ -68,9 +74,7 @@ def sphere_bracket(norms):
     if np.any(N < 1.0):
         raise ValueError(f"norm {N[N < 1.0].max()} below the first sphere radius")
     top = np.fmax.reduce(N, axis=None, initial=1.0)
-    radii = _radii_upto(1024)
-    while radii[-1] <= top and len(radii) < M_MAX_DEFAULT:
-        radii = _radii_upto(min(M_MAX_DEFAULT, 2 * len(radii)))
+    radii = _radii_reaching(np.nextafter(top, np.inf))  # a_L > top
     if radii[-1] <= top:
         raise ValueError(f"norm {top} beyond sphere index cap {M_MAX_DEFAULT}")
     m = np.searchsorted(radii, N, side="right")

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainmetric.cli import main
+from chainmetric.core import certificate, lower_bound_certificate
+from chainmetric.sampler import euclid_context
 from chainmetric.std_map import M_MAX_DEFAULT, _ball_net, harmonic_radius, net_index
 from reference import net_solver_reference, sphere_net_reference
 
@@ -63,12 +65,26 @@ class TestDist:
         assert result.exit_code == 2
 
     def test_overflowing_norm_is_usage_error(self, runner):
-        result = invoke(runner, ["dist", "1e300,0", "0,1"])
-        assert result.exit_code == 2
+        for args in (["dist"], ["--weight", "ray_psi", "dist"], ["converge"]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = invoke(runner, args + ["1e300,0", "0,1"])
+            assert result.exit_code == 2
+            assert "beyond sphere index cap 1000000" in result.output
+            assert caught == []
 
     def test_norm_beyond_sphere_cap_is_usage_error(self, runner):
         result = invoke(runner, ["dist", "20,0", "0,1"])
         assert result.exit_code == 2
+
+    # Each sample is counted from the config and rejected before it is built:
+    # 1.3M nodes, then about 1e302 and an uncountable number of directions.
+    @pytest.mark.parametrize("flags", [["--spheres", "100000"], ["--resolution", "1e-300"],
+                                       ["--resolution", "5e-324"]])
+    def test_oversized_sample_is_usage_error(self, runner, flags):
+        result = invoke(runner, flags + ["dist", "1,0", "0,1"])
+        assert result.exit_code == 2
+        assert "more than 5000 nodes" in result.output
 
     def test_ray_weight_beyond_sphere_cap_is_usage_error(self, runner):
         result = invoke(runner, ["--weight", "ray_psi", "dist", "0,20", "0,1"])
@@ -79,12 +95,15 @@ class TestDist:
         assert result.exit_code == 2
 
     # One endpoint at the edge of a sphere's tau band (tau = 1e-9), just
-    # inside or outside it, or just beyond the last sphere below the cap.
-    @settings(max_examples=24, deadline=None, derandomize=True)
-    @given(weight=st.sampled_from(["std_phi", "ray_psi"]), dim=st.sampled_from([2, 3]),
+    # inside or outside it, or just beyond the last sphere below the cap;
+    # converge prints only upper bounds, so its bracket ends are computed here.
+    @settings(max_examples=48, deadline=None, derandomize=True)
+    @given(command=st.sampled_from(["dist", "converge"]),
+           weight=st.sampled_from(["std_phi", "ray_psi"]), dim=st.sampled_from([2, 3]),
            m=st.integers(1, 12), factor=st.sampled_from([1.0, -1.0, 1.01, -1.01, None]),
            seed=st.integers(0, 2**32 - 1))
-    def test_bracket_order_at_the_tau_band_and_the_cap(self, weight, dim, m, factor, seed):
+    def test_bracket_order_at_the_tau_band_and_the_cap(self, command, weight, dim, m, factor,
+                                                        seed):
         rng = np.random.default_rng(seed)
         U = rng.normal(size=(2, dim))
         U /= np.linalg.norm(U, axis=1)[:, None]
@@ -94,11 +113,23 @@ class TestDist:
             norm = harmonic_radius(m) * (1.0 + factor * 1e-9)
         x, y = norm * U[0], rng.uniform(0.0, 3.0) * U[1]
         points = [",".join("%.17g" % v for v in p) for p in (x, y)]
-        result = invoke(CliRunner(), ["--weight", weight, "dist", *points])
+        if command == "dist":
+            result = invoke(CliRunner(), ["--weight", weight, "dist", *points])
+        else:
+            result = invoke(CliRunner(), ["--weight", weight, "converge", "--levels", "2",
+                                          *points])
         assert result.exit_code == 0, result.output
-        fields = dict(line.split(" ", 1) for line in result.output.splitlines())
-        lower, upper, delta = (float(fields[k]) for k in ("lower", "upper", "delta"))
-        assert lower <= upper + 1e-12 <= delta + 2e-12
+        lines = result.output.splitlines()
+        if command == "dist":
+            fields = dict(line.split(" ", 1) for line in lines)
+            lower, delta = float(fields["lower"]), float(fields["delta"])
+            uppers = [float(fields["upper"])]
+        else:
+            ctx = euclid_context(weight, dim=dim)
+            lower, delta = lower_bound_certificate(ctx, x, y), certificate(ctx, x, y).upper
+            uppers = [float(line.split(",")[2]) for line in lines[1:]]
+        for upper in uppers:
+            assert lower <= upper + 1e-12 <= delta + 2e-12
 
     def test_negative_first_coordinate_needs_no_separator(self, runner):
         plain = invoke(runner, ["dist", "0,1", "-1.2,0.3"])
@@ -248,6 +279,14 @@ class TestConverge:
     def test_norm_beyond_sphere_cap_is_usage_error(self, runner):
         result = invoke(runner, ["converge", "20,0", "0,1"])
         assert result.exit_code == 2
+
+    # The finer level alone may hold 3519 nodes, and the graph that merges
+    # it with the 1770 of the first level up to 5289.
+    def test_oversized_refinement_is_usage_error(self, runner):
+        result = invoke(runner, ["--resolution", "0.018", "converge", "2,0", "0,2",
+                                 "--levels", "2"])
+        assert result.exit_code == 2
+        assert "more than 5000 nodes" in result.output
 
     def test_negative_radial_steps_is_usage_error(self, runner):
         result = invoke(runner, ["--radial-steps", "-1", "converge", "3,0", "0,3"])

@@ -142,15 +142,17 @@ class TestApproxDphi:
         assert value <= cap + 1e-12
         assert value >= lower_bound_certificate(std_ctx, x, y) - 1e-12
 
-    def test_sandwich_on_random_pairs(self, std_ctx, rng):
-        cfg = small_config()
-        for _ in range(10):
-            x, y = rng.normal(size=2, scale=3), rng.normal(size=2, scale=3)
-            nodes = build_sample(cfg, [x, y])
-            graph = build_graph(std_ctx, nodes)
-            value, _ = approx_dphi(graph, x, y)
-            assert value <= delta(std_ctx, x, y) + 1e-12
-            assert value >= lower_bound_certificate(std_ctx, x, y) - 1e-12
+    def test_sandwich_on_random_pairs(self, rng):
+        for weight, s in [(w, s) for w in ("std_phi", "ray_psi") for s in (2, 3)]:
+            ctx = euclid_context(weight, dim=s)
+            cfg = small_config(dimension=s)
+            for _ in range(10):
+                x, y = rng.normal(size=s, scale=3), rng.normal(size=s, scale=3)
+                nodes = build_sample(cfg, [x, y], weight, ctx.cone)
+                graph = build_graph(ctx, nodes)
+                value, _ = approx_dphi(graph, x, y)
+                assert value <= delta(ctx, x, y) + 1e-12
+                assert value >= lower_bound_certificate(ctx, x, y) - 1e-12
 
     def test_monotone_under_node_superset(self, std_ctx, rng):
         cfg = small_config()
