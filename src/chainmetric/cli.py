@@ -1,10 +1,11 @@
 """Command-line front end: certified distance brackets, exact finite-space
 matrices, epsilon nets, convergence tables and the non-equivalence run.
 
-Configuration comes from an optional JSON file plus flag overrides (flags
-win).  All reals print with 17 significant digits so identical configs and
-seeds reproduce byte-identical outputs.  Exit status: 0 when every internal
-certificate holds, 1 on a certificate violation, 2 on a config error.
+Settings are the group's flags or the entries of a JSON config file named
+and parsed as they are (flags win), with the defaults of ``SamplerConfig``
+and ``ConeParam``.  All reals print with 17 significant digits so identical
+settings reproduce byte-identical outputs.  Exit status: 0 when every
+internal certificate holds, 1 on a certificate violation, 2 on bad input.
 """
 from __future__ import annotations
 
@@ -16,10 +17,11 @@ import click
 import numpy as np
 
 from .completion import nonequivalence_experiment
-from .core import certificate, lower_bound_certificate
+from .core import certificate
 from .finite import FiniteSpace, dphi_exact, load_distance_matrix
 from .rays import ConeParam, Ray, boundary_map_h_ray, ray_directions, ray_distance
 from .sampler import (
+    EuclidContext,
     SamplerConfig,
     approx_dphi,
     build_graph,
@@ -29,7 +31,7 @@ from .sampler import (
     euclid_context,
     make_net_solver,
 )
-from .std_map import boundary_map_h_std, boundary_map_k_std, epsilon_net
+from .std_map import boundary_map_h_std, boundary_map_k_std, epsilon_net, net_index
 
 FMT = "{:.17g}"
 # Center rows that ``net`` formats and writes at a time.
@@ -46,47 +48,51 @@ def _parse_point(text: str) -> np.ndarray:
     return point
 
 
-def _load_config(path) -> dict:
+def _load_config(ctx, param, path):
+    """Eager ``--config`` callback: the file's JSON object becomes the group's
+    default map, so each entry is parsed by its option's type; numbers, only
+    for number-typed options, go in as text, so 2.7 fails for an int option."""
     if path is None:
-        return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
+        return
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise click.BadParameter(str(exc), ctx, param)
     if not isinstance(cfg, dict):
-        raise click.UsageError(f"bad config: {path} does not hold a JSON object")
-    return cfg
-
-
-def _merged(cfg: dict, **flags) -> dict:
-    out = dict(cfg)
-    for k, v in flags.items():
-        if v is not None:
-            out[k] = v
-    return out
+        raise click.BadParameter(f"{path} does not hold a JSON object", ctx, param)
+    options = {p.name: p for p in ctx.command.params if p is not param}
+    for key, value in cfg.items():
+        if key not in options:
+            raise click.BadParameter(f"unknown key {key!r}", ctx, param)
+        numeric = isinstance(options[key].type, (click.types.IntParamType,
+                                                 click.types.FloatParamType))
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (isinstance(value, str) or (numeric and number)):
+            raise click.BadParameter(f"bad value {value!r} for key {key!r}", ctx, param)
+    ctx.default_map = {key: str(value) for key, value in cfg.items()}
 
 
 def _sampler_config(opts: dict, dim: int) -> SamplerConfig:
-    return SamplerConfig(
-        dimension=dim,
-        max_sphere_index=int(opts.get("max_sphere_index", 5)),
-        angular_resolution=float(opts.get("angular_resolution", 0.5)),
-        radial_steps=int(opts.get("radial_steps", 2)),
-        seed=int(opts.get("seed", 0)),
-    )
+    keys = ("max_sphere_index", "angular_resolution", "radial_steps", "seed")
+    return SamplerConfig(dimension=dim, **{key: opts[key] for key in keys})
 
 
-def _context(opts: dict, dim: int):
-    kind = opts.get("weight_kind", "std_phi")
-    if kind == "ray_psi":
-        cone = ConeParam(delta=float(opts.get("delta", 0.6)), dim=dim)
-        return euclid_context("ray_psi", cone=cone, dim=dim)
-    return euclid_context("std_phi", dim=dim)
+def _context(opts: dict, dim: int) -> EuclidContext:
+    kind = opts["weight_kind"]
+    cone = ConeParam(delta=opts["delta"], dim=dim) if kind == "ray_psi" else None
+    return euclid_context(kind, cone=cone, dim=dim)
 
 
 @contextlib.contextmanager
 def _writer(output):
     """A function that writes text to the ``--output`` file, or to stdout."""
     if output:
-        with open(output, "w") as fh:
+        try:
+            fh = open(output, "w")
+        except OSError as exc:
+            raise click.UsageError(f"cannot write --output: {exc}")
+        with fh:
             yield fh.write
     else:
         yield lambda text: click.echo(text, nl=False)
@@ -98,23 +104,24 @@ def _emit(text: str, output) -> None:
 
 
 @click.group()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-              help="JSON config file; flags override its entries")
-@click.option("--seed", type=int, default=None)
+@click.option("--config", type=click.Path(exists=True), is_eager=True,
+              expose_value=False, callback=_load_config,
+              help="JSON config file keyed by option name; flags override its entries")
+@click.option("--seed", type=click.IntRange(min=0), default=SamplerConfig.seed)
 @click.option("--weight", "weight_kind", type=click.Choice(["std_phi", "ray_psi"]),
-              default=None)
-@click.option("--delta", type=float, default=None, help="cone half-angle (ray weight)")
-@click.option("--resolution", "angular_resolution", type=float, default=None)
-@click.option("--spheres", "max_sphere_index", type=int, default=None)
-@click.option("--radial-steps", type=int, default=None)
+              default=EuclidContext.weight_kind)
+@click.option("--delta", type=float, default=ConeParam.delta,
+              help="cone half-angle (ray weight)")
+@click.option("--resolution", "angular_resolution", type=float,
+              default=SamplerConfig.angular_resolution)
+@click.option("--spheres", "max_sphere_index", type=int,
+              default=SamplerConfig.max_sphere_index)
+@click.option("--radial-steps", type=int, default=SamplerConfig.radial_steps)
 @click.option("--output", type=click.Path(), default=None)
 @click.pass_context
-def main(ctx, config_path, **flags):
+def main(ctx, **opts):
     """Chain-infimum metric transform toolkit."""
-    try:
-        ctx.obj = _merged(_load_config(config_path), **flags)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"bad config: {exc}")
+    ctx.obj = opts
 
 
 # Points are positional, so one with a negative first coordinate looks like
@@ -138,20 +145,18 @@ def dist(opts, x, y):
         nodes = build_sample(cfg, [px, py], ectx.weight_kind, ectx.cone)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    graph = build_graph(ectx, nodes)
-    value, witness = approx_dphi(graph, px, py)
-    lower = lower_bound_certificate(ectx, px, py)
+    value, witness = approx_dphi(build_graph(ectx, nodes), px, py)
     cert = certificate(ectx, px, py)
     lines = [
-        "lower " + FMT.format(lower),
+        "lower " + FMT.format(cert.lower),
         "upper " + FMT.format(value),
         "delta " + FMT.format(cert.upper),
         "witness " + " | ".join(
             ",".join(FMT.format(v) for v in p) for p in witness.points
         ),
     ]
-    _emit("\n".join(lines) + "\n", opts.get("output"))
-    if not (lower <= value + 1e-12 and value <= cert.upper + 1e-12):
+    _emit("\n".join(lines) + "\n", opts["output"])
+    if not (cert.lower <= value + 1e-12 and value <= cert.upper + 1e-12):
         click.echo("certificate violation", err=True)
         sys.exit(1)
 
@@ -172,7 +177,7 @@ def oracle(opts, matrix_file, anchor):
     lines = [str(n)]
     for row in result.values:
         lines.append(" ".join(FMT.format(v) for v in row))
-    _emit("\n".join(lines) + "\n", opts.get("output"))
+    _emit("\n".join(lines) + "\n", opts["output"])
 
 
 @main.command()
@@ -188,16 +193,13 @@ def net(opts, epsilon, dimension, samples, verify):
         raise click.UsageError(f"epsilon must be in (0, 1), got {epsilon}")
     if dimension < 2:
         raise click.UsageError(f"dimension must be >= 2, got {dimension}")
-    seed = int(opts.get("seed", 0))
-    from .std_map import net_index
-
     solver = make_net_solver(net_index(epsilon)) if verify else None
     result = epsilon_net(
         epsilon, dimension, solver=solver, samples=samples,
-        rng=np.random.default_rng(seed),
+        rng=np.random.default_rng(opts["seed"]),
     )
     row = "%d," + ",".join(["%.17g"] * dimension) + "\n"  # FMT's format, one % per center
-    with _writer(opts.get("output")) as write:
+    with _writer(opts["output"]) as write:
         write(f"# epsilon-net k={result.k} centers={len(result.centers)}\n")
         for lo in range(0, len(result.centers), NET_BLOCK):
             block = result.centers[lo:lo + NET_BLOCK].tolist()
@@ -231,7 +233,7 @@ def converge(opts, x, y, levels):
     lines = ["level,node_count,upper_bound"]
     for level, count, value in rows:
         lines.append(f"{level},{count}," + FMT.format(value))
-    _emit("\n".join(lines) + "\n", opts.get("output"))
+    _emit("\n".join(lines) + "\n", opts["output"])
     values = [r[2] for r in rows]
     if any(values[i + 1] > values[i] + 1e-12 for i in range(len(values) - 1)):
         click.echo("monotonicity violation", err=True)
@@ -239,16 +241,15 @@ def converge(opts, x, y, levels):
 
 
 @main.command()
-@click.option("--delta", type=float, default=0.6, show_default=True)
+@click.option("--delta", type=float, show_default="the group's --delta")
 @click.option("--horizon", type=int, default=20, show_default=True)
 @click.option("--dimension", "-s", type=int, default=2, show_default=True)
 @click.pass_obj
 def noneq(opts, delta, horizon, dimension):
     """Non-equivalence experiment between the two compactifications."""
+    delta = opts["delta"] if delta is None else delta
     try:
-        report = nonequivalence_experiment(
-            delta, horizon, s=dimension, seed=int(opts.get("seed", 0))
-        )
+        report = nonequivalence_experiment(delta, horizon, s=dimension, seed=opts["seed"])
     except ValueError as exc:
         raise click.UsageError(str(exc))
     import io
@@ -256,7 +257,7 @@ def noneq(opts, delta, horizon, dimension):
     buf = io.StringIO()
     report.to_csv(buf)
     buf.write(report.to_json() + "\n")
-    _emit(buf.getvalue(), opts.get("output"))
+    _emit(buf.getvalue(), opts["output"])
     if report.verdict != "non-equivalent":
         click.echo("certificate violation", err=True)
         sys.exit(1)
@@ -278,26 +279,26 @@ def boundary(opts, which, point):
             back = boundary_map_k_std(rep)
             out = "ball " + ",".join(FMT.format(v) for v in back)
         else:
-            cone = ConeParam(delta=float(opts.get("delta", 0.6)), dim=len(p))
+            cone = ConeParam(delta=opts["delta"], dim=len(p))
             rep = boundary_map_h_ray(p, cone)
             out = f"{rep.kind} " + ",".join(FMT.format(v) for v in rep.point)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    _emit(out + "\n", opts.get("output"))
+    _emit(out + "\n", opts["output"])
 
 
 @main.command("rays")
 @click.option("--samples", type=click.IntRange(min=1), default=1000, show_default=True)
-@click.option("--delta", type=float, default=0.6, show_default=True)
+@click.option("--delta", type=float, show_default="the group's --delta")
 @click.option("--dimension", "-s", type=int, default=3, show_default=True)
 @click.pass_obj
 def rays_cmd(opts, samples, delta, dimension):
     """Ray-separation sweep: nearest ray distance against the analytic floor."""
     try:
-        cone = ConeParam(delta=delta, dim=dimension)
+        cone = ConeParam(delta=opts["delta"] if delta is None else delta, dim=dimension)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    rng = np.random.default_rng(int(opts.get("seed", 0)))
+    rng = np.random.default_rng(opts["seed"])
     factor = 1.0 / (2.0 * np.sqrt(2.0))
     U = rng.normal(size=(samples, 2, dimension))
     U /= np.linalg.norm(U, axis=2)[..., None]
@@ -313,7 +314,7 @@ def rays_cmd(opts, samples, delta, dimension):
         coords = list(r1.base) + list(r1.direction) + list(r2.base) + list(r2.direction)
         lines.append(" ".join(FMT.format(v) for v in coords)
                      + " " + FMT.format(sep) + " " + FMT.format(floor))
-    _emit("\n".join(lines) + "\n", opts.get("output"))
+    _emit("\n".join(lines) + "\n", opts["output"])
     if violations:
         click.echo(f"{violations} separation violations", err=True)
         sys.exit(1)

@@ -70,18 +70,13 @@ class RhoEstimate:
         return self.values[-1][1]
 
 
-def _default_solver(ctx: EuclidContext, config: Optional[SamplerConfig] = None):
-    def solve(x, y) -> float:
-        cfg = config or SamplerConfig(
-            dimension=len(np.asarray(x, float)), max_sphere_index=4,
-            angular_resolution=1.0,
-        )
-        nodes = build_sample(cfg, [x, y], ctx.weight_kind, ctx.cone)
-        graph = build_graph(ctx, nodes)
-        value, _ = approx_dphi(graph, x, y)
-        return value
-
-    return solve
+def _sampled_bound(ctx: EuclidContext, x, y, config: Optional[SamplerConfig] = None) -> float:
+    """Shortest-path upper bound between ``x`` and ``y`` over the sample of
+    ``config``, by default a coarse one of 4 spheres."""
+    cfg = config or SamplerConfig(dimension=len(x), max_sphere_index=4, angular_resolution=1.0)
+    nodes = build_sample(cfg, [x, y], ctx.weight_kind, ctx.cone)
+    value, _ = approx_dphi(build_graph(ctx, nodes), x, y)
+    return value
 
 
 def _classify_trend(vals: np.ndarray) -> str:
@@ -98,7 +93,6 @@ def rho_estimate(
     ctx: EuclidContext,
     a: CauchyTruncation,
     b: CauchyTruncation,
-    solver: Optional[Callable] = None,
     horizon: Optional[int] = None,
 ) -> RhoEstimate:
     """Tabulate approx distances between paired sequence entries.
@@ -110,7 +104,6 @@ def rho_estimate(
     N = horizon or min(a.horizon, b.horizon)
     if N < 2:
         raise ValueError("need a horizon of at least 2")
-    solver = solver or _default_solver(ctx)
     rows = []
     for i in range(1, N + 1):
         xi = np.asarray(a.generator(i), dtype=float)
@@ -118,7 +111,7 @@ def rho_estimate(
         if np.allclose(xi, yi, atol=0.0):
             rows.append((i, 0.0, 0.0, 0.0))
             continue
-        approx = float(solver(xi, yi))
+        approx = _sampled_bound(ctx, xi, yi)
         lower = lower_bound_certificate(ctx, xi, yi)
         upper = link_cost(ctx, xi, yi)
         rows.append((i, approx, lower, upper))
@@ -134,20 +127,15 @@ class SequenceClass:
     detail: str = ""
 
 
-def classify_sequence(
-    seq: CauchyTruncation,
-    ctx: EuclidContext,
-    solver: Optional[Callable] = None,
-    direction_tol: float = 1e-6,
-) -> SequenceClass:
+def classify_sequence(seq: CauchyTruncation, ctx: EuclidContext) -> SequenceClass:
     """Sort a numerically-Cauchy sequence into its canonical completion form.
 
     Bounded norm trails classify as a finite point (the tail limit);
     unbounded ones as the direction at infinity their normalizations settle
-    on.  Direction non-convergence is reported, never guessed.
+    on, to within 1e-6 over the last third.  Direction non-convergence is
+    reported, never guessed.
     """
     pts = seq.realized
-    solver = solver or _default_solver(ctx)
     norms = np.array([np.linalg.norm(p) for p in pts])
     third = max(2, len(pts) // 3)
     tail = pts[-third:]
@@ -155,7 +143,7 @@ def classify_sequence(
     # plus the full tail span, judged against the certified bracket widths
     # (with an absolute fallback when the brackets pin the value exactly).
     pairs = [(i, i + 1) for i in range(len(tail) - 1)] + [(0, len(tail) - 1)]
-    spans = [float(solver(tail[i], tail[j])) for i, j in pairs]
+    spans = [_sampled_bound(ctx, tail[i], tail[j]) for i, j in pairs]
     widths = [
         link_cost(ctx, tail[i], tail[j])
         - lower_bound_certificate(ctx, tail[i], tail[j])
@@ -184,7 +172,7 @@ def classify_sequence(
     drift = max(
         float(np.linalg.norm(units[i] - units[-1])) for i in range(len(units))
     )
-    if drift > direction_tol:
+    if drift > 1e-6:
         return SequenceClass(
             kind="inconclusive",
             detail=f"direction drift {drift} over the last third",
@@ -228,8 +216,6 @@ def nonequivalence_experiment(
     horizon: int,
     s: int = 2,
     seed: int = 0,
-    psi_solver: Optional[Callable] = None,
-    phi_solver: Optional[Callable] = None,
 ) -> NoneqReport:
     """Track the axis ladder against the ladder of a base at polar angle
     delta/2 under both weights.
@@ -249,8 +235,6 @@ def nonequivalence_experiment(
     phi_ctx = euclid_context("std_phi", dim=s)
     cfg = SamplerConfig(dimension=s, max_sphere_index=min(horizon, 8),
                         angular_resolution=1.0, seed=seed)
-    psi_solver = psi_solver or _default_solver(psi_ctx, cfg)
-    phi_solver = phi_solver or _default_solver(phi_ctx, cfg)
 
     b1 = np.zeros(s)
     b1[0], b1[1] = np.cos(delta / 2.0), np.sin(delta / 2.0)
@@ -263,8 +247,8 @@ def nonequivalence_experiment(
         ai = harmonic_radius(i)
         a_pt = np.zeros(s)
         a_pt[0] = ai
-        psi_measured = float(psi_solver(a_pt, b_pt))
-        phi_measured = float(phi_solver(a_pt, b_pt))
+        psi_measured = _sampled_bound(psi_ctx, a_pt, b_pt, cfg)
+        phi_measured = _sampled_bound(phi_ctx, a_pt, b_pt, cfg)
         cap = 2.0 / (1.0 + ai) + delta / (2.0 * ai)
         rows.append((i, ai, psi_measured, floor, phi_measured, cap))
         if psi_measured < floor - 1e-12 or phi_measured > cap + 1e-12:

@@ -21,7 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .std_map import _radii_upto, pairwise_distances, sphere_index, sphere_weight
+from .std_map import (BALL_TOL, TAU, _radii_upto, ball_norm, pairwise_distances,
+                      sphere_index, sphere_weight)
 
 
 @dataclass(frozen=True)
@@ -207,13 +208,13 @@ def ray_through(y, cone: ConeParam) -> tuple[Ray, float]:
     return ray, _point_to_ray_distance(y, ray)
 
 
-def h_pq_ray(x, q, cone: ConeParam, tau: float = 1e-9) -> np.ndarray:
+def h_pq_ray(x, q, cone: ConeParam) -> np.ndarray:
     """Ray identification: slide a point of its sphere onto sphere q along
     the unique ray of the field through it; an array of indices q gives one
     point per index, shape ``q.shape + x.shape``."""
     x = np.asarray(x, dtype=float)
     nx = float(np.linalg.norm(x))
-    if not sphere_index(nx, tau):
+    if not sphere_index(nx):
         raise ValueError(f"point with norm {nx} is not on an identification sphere")
     q = np.asarray(q)
     if np.any(q < 1):
@@ -223,36 +224,36 @@ def h_pq_ray(x, q, cone: ConeParam, tau: float = 1e-9) -> np.ndarray:
     return points.reshape(q.shape + x.shape)
 
 
-def psi(x, y, cone: ConeParam, tau: float = 1e-9) -> float:
+def psi(x, y, cone: ConeParam) -> float:
     """Ray weight: 0 on ray-identified sphere pairs, base-point distance on a
-    shared sphere, Euclidean distance otherwise.  A point of sphere 1's tau
+    shared sphere, Euclidean distance otherwise.  A point of sphere 1's TAU
     band inside the unit ball has the base of its radial projection."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
-    p, q = sphere_index([nx, ny], tau)
+    p, q = sphere_index([nx, ny])
     if p and q:
         bx = ray_through(x / min(nx, 1.0), cone)[0].base
         by = ray_through(y / min(ny, 1.0), cone)[0].base
-        if float(np.linalg.norm(bx - by)) <= tau:
+        if float(np.linalg.norm(bx - by)) <= TAU:
             return 0.0
         if p == q:
             return float(np.linalg.norm(bx - by))
     return float(np.linalg.norm(x - y))
 
 
-def psi_matrix(points, D, cone: ConeParam, tau: float = 1e-9) -> np.ndarray:
+def psi_matrix(points, D, cone: ConeParam) -> np.ndarray:
     """Ray weight over a point set (rows of ``points``, or a stack of sets of
     shape ``(..., n, s)``) whose distance matrix is ``D``: identification and
     a shared sphere both compare ray bases, as in :func:`psi`."""
     P = np.asarray(points, dtype=float)
     norms = np.linalg.norm(P, axis=-1)
-    idx = sphere_index(norms, tau)
+    idx = sphere_index(norms)
     on = idx > 0
     bases = np.zeros_like(P)
     bases[on] = ray_bases(P[on] / np.minimum(norms[on], 1.0)[:, None], cone)
     base_dist = pairwise_distances(bases)
-    return sphere_weight(D, idx, base_dist, base_dist, tau)
+    return sphere_weight(D, idx, base_dist, base_dist)
 
 
 def ray_distance(r1: Ray, r2: Ray) -> float:
@@ -322,7 +323,7 @@ class BoundaryRepRay:
         return h_pq_ray(self.point, i, self.cone)
 
 
-def boundary_map_h_ray(x, cone: ConeParam, tol: float = 1e-12) -> BoundaryRepRay:
+def boundary_map_h_ray(x, cone: ConeParam) -> BoundaryRepRay:
     """Closed-ball parameterization of the ray compactification.
 
     Below norm 1/2 points blow up radially; from 1/2 outward they travel
@@ -331,10 +332,8 @@ def boundary_map_h_ray(x, cone: ConeParam, tol: float = 1e-12) -> BoundaryRepRay
     formulas give the base point itself at the junction norm 1/2.
     """
     x = np.asarray(x, dtype=float)
-    n = float(np.linalg.norm(x))
-    if n > 1.0 + tol:
-        raise ValueError(f"point with norm {n} outside the closed unit ball")
-    if n >= 1.0 - tol:
+    n = ball_norm(x)
+    if n >= 1.0 - BALL_TOL:
         return BoundaryRepRay(kind="at_infinity", point=x / n, cone=cone)
     if n < 0.5:
         return BoundaryRepRay(kind="interior", point=x / (1.0 - n))

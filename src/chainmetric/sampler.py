@@ -56,7 +56,6 @@ class EuclidContext(MetricContext):
     path on R^s, computing the distance matrix once for weight and link."""
 
     weight_kind: str = "std_phi"
-    tau: float = 1e-9
     cone: Optional[ConeParam] = None
 
     def link_matrix(self, points: np.ndarray) -> np.ndarray:
@@ -66,9 +65,9 @@ class EuclidContext(MetricContext):
         P = np.asarray(points, dtype=float)
         D = pairwise_distances(P)
         if self.weight_kind == "std_phi":
-            weight = phi_std_matrix(P, D, self.tau)
+            weight = phi_std_matrix(P, D)
         else:
-            weight = psi_matrix(P, D, self.cone, self.tau)
+            weight = psi_matrix(P, D, self.cone)
         inv = 1.0 / (1.0 + np.linalg.norm(P, axis=-1))
         W = np.minimum(D, inv[..., :, None] + weight + inv[..., None, :])
         diag = np.arange(P.shape[-2])
@@ -78,7 +77,6 @@ class EuclidContext(MetricContext):
 
 def euclid_context(
     weight_kind: str = "std_phi",
-    tau: float = 1e-9,
     cone: Optional[ConeParam] = None,
     dim: int = 2,
 ) -> EuclidContext:
@@ -86,16 +84,15 @@ def euclid_context(
         raise ValueError(f"unknown weight kind {weight_kind!r}")
     if weight_kind == "ray_psi":
         cone = cone or ConeParam(dim=dim)
-        weight = lambda x, y: psi(x, y, cone, tau)
+        weight = lambda x, y: psi(x, y, cone)
     else:
-        weight = lambda x, y: phi_std(x, y, tau)
+        weight = phi_std
     dist = lambda x, y: float(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
     return EuclidContext(
         base_distance=dist,
         weight=weight,
         anchor=np.zeros(dim),
         weight_kind=weight_kind,
-        tau=tau,
         cone=cone,
     )
 

@@ -19,6 +19,11 @@ import numpy as np
 _RADII_LOCK = threading.Lock()
 _RADII = np.array([1.0])  # _RADII[m-1] = a_m, grown lazily
 M_MAX_DEFAULT = 10**6
+# Relative sphere tolerance: a norm within TAU * a_m of a_m lies on sphere m,
+# and unit vectors or ray bases at most TAU apart are identified.
+TAU = 1e-9
+# Norms within BALL_TOL of 1 lie on the boundary sphere of the closed ball.
+BALL_TOL = 1e-12
 
 
 def _radii_upto(m: int) -> np.ndarray:
@@ -50,19 +55,19 @@ def harmonic_radius(m: int) -> float:
     return float(_radii_upto(m)[m - 1])
 
 
-def sphere_index(norms, tau: float = 1e-9) -> np.ndarray:
-    """Index m with |norm - a_m| <= tau * a_m for each of ``norms``, or 0 where
+def sphere_index(norms) -> np.ndarray:
+    """Index m with |norm - a_m| <= TAU * a_m for each of ``norms``, or 0 where
     a norm is off every sphere; the result has the shape of ``norms``."""
     norms = np.asarray(norms, dtype=float)
     idx = np.zeros(norms.shape, dtype=int)
-    live = ~(norms < 1.0 - tau)  # NaN stays live and matches no sphere
+    live = ~(norms < 1.0 - TAU)  # NaN stays live and matches no sphere
     if not np.any(live):
         return idx
-    radii = _radii_reaching(np.fmax.reduce(norms[live]) * (1.0 + tau))
+    radii = _radii_reaching(np.fmax.reduce(norms[live]) * (1.0 + TAU))
     pos = np.searchsorted(radii, norms)  # a_pos < norm <= a_{pos+1}
     for cand in (pos + 1, pos):  # the lower sphere wins a shared band
         a = radii[np.clip(cand, 1, len(radii)) - 1]
-        hit = live & (cand >= 1) & (cand <= len(radii)) & (np.abs(norms - a) <= tau * a)
+        hit = live & (cand >= 1) & (cand <= len(radii)) & (np.abs(norms - a) <= TAU * a)
         idx = np.where(hit, cand, idx)
     return idx
 
@@ -81,12 +86,12 @@ def sphere_bracket(norms):
     return int(m) if m.ndim == 0 else m
 
 
-def h_pq_std(x, p: int, q: int, tau: float = 1e-9) -> np.ndarray:
+def h_pq_std(x, p: int, q: int) -> np.ndarray:
     """Radial identification: scale a point of sphere p onto sphere q."""
     x = np.asarray(x, dtype=float)
     ap, aq = harmonic_radius(p), harmonic_radius(q)
     norm = float(np.linalg.norm(x))
-    if abs(norm - ap) > tau * ap:
+    if abs(norm - ap) > TAU * ap:
         raise ValueError(f"point with norm {norm} is not on sphere {p} (radius {ap})")
     return (aq / ap) * x
 
@@ -105,47 +110,47 @@ def pairwise_distances(P: np.ndarray) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def sphere_weight(D, idx, base_dist, same_cost, tau: float) -> np.ndarray:
+def sphere_weight(D, idx, base_dist, same_cost) -> np.ndarray:
     """The weight law of both compactifications: a pair pays its Euclidean
     distance ``D`` unless both nodes lie on spheres (``idx > 0``); then it
     pays ``same_cost`` on a shared sphere, and 0 when its identification
-    bases are at most ``tau`` apart (``base_dist``).  Leading axes of ``idx``
+    bases are at most ``TAU`` apart (``base_dist``).  Leading axes of ``idx``
     and of the ``(..., n, n)`` matrices index independent node sets."""
     W = D.copy()
     on = idx > 0
     both = on[..., :, None] & on[..., None, :]
     same = both & (idx[..., :, None] == idx[..., None, :])
     W[same] = same_cost[same]
-    W[both & (base_dist <= tau)] = 0.0
+    W[both & (base_dist <= TAU)] = 0.0
     return W
 
 
-def phi_std(x, y, tau: float = 1e-9) -> float:
+def phi_std(x, y) -> float:
     """Radial weight: 0 on identified pairs, rescaled chord on a shared sphere,
     Euclidean distance otherwise.  Cases are tested in that order."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
-    p, q = sphere_index([nx, ny], tau)
+    p, q = sphere_index([nx, ny])
     if p and q:
-        if float(np.linalg.norm(x / nx - y / ny)) <= tau:
+        if float(np.linalg.norm(x / nx - y / ny)) <= TAU:
             return 0.0
         if p == q:
             return float(np.linalg.norm(x - y)) / harmonic_radius(p)
     return float(np.linalg.norm(x - y))
 
 
-def phi_std_matrix(points, D, tau: float = 1e-9) -> np.ndarray:
+def phi_std_matrix(points, D) -> np.ndarray:
     """Radial weight over a point set (rows of ``points``, or a stack of sets
     of shape ``(..., n, s)``) whose distance matrix is ``D``: identification
     compares radial unit vectors, and a shared sphere m rescales the chord by
     1/a_m."""
     P = np.asarray(points, dtype=float)
     norms = np.linalg.norm(P, axis=-1)
-    idx = sphere_index(norms, tau)
+    idx = sphere_index(norms)
     am = _radii_upto(int(idx.max(initial=1)))[np.maximum(idx, 1) - 1]
     units = P / np.where(norms > 0, norms, 1.0)[..., None]
-    return sphere_weight(D, idx, pairwise_distances(units), D / am[..., :, None], tau)
+    return sphere_weight(D, idx, pairwise_distances(units), D / am[..., :, None])
 
 
 @dataclass(frozen=True)
@@ -175,14 +180,23 @@ class BoundaryRepStd:
         return harmonic_radius(i) * self.point
 
 
-def boundary_map_h_std(x, tol: float = 1e-12) -> BoundaryRepStd:
+def ball_norm(x: np.ndarray) -> float:
+    """Norm of a point of the closed unit ball; raises ValueError for a point
+    outside it, checking its coordinates first so that no norm overflows."""
+    n = float(np.max(np.abs(x), initial=0.0))
+    if n <= 1.0 + BALL_TOL:
+        n = float(np.linalg.norm(x))
+    if n > 1.0 + BALL_TOL:
+        raise ValueError(f"point of norm at least {n} outside the closed unit ball")
+    return n
+
+
+def boundary_map_h_std(x) -> BoundaryRepStd:
     """Closed-ball parameterization of the completion: interior points blow up
     by 1/(1 - |x|), unit vectors map to their ladder class at infinity."""
     x = np.asarray(x, dtype=float)
-    n = float(np.linalg.norm(x))
-    if n > 1.0 + tol:
-        raise ValueError(f"point with norm {n} outside the closed unit ball")
-    if n >= 1.0 - tol:
+    n = ball_norm(x)
+    if n >= 1.0 - BALL_TOL:
         return BoundaryRepStd(kind="at_infinity", point=x / n)
     return BoundaryRepStd(kind="interior", point=x / (1.0 - n))
 
@@ -297,7 +311,6 @@ def epsilon_net(
     s: int,
     solver: Optional[Callable] = None,
     samples: int = 10_000,
-    max_norm: Optional[float] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> EpsilonNet:
     """Constructive total-boundedness: a finite eps-cover of (R^s, transformed).
@@ -307,7 +320,8 @@ def epsilon_net(
     because the transform never exceeds d_E.  Points beyond the ball reach a
     sphere-net center through the projection / identification chain of cost
     < eps, which ``solver(X, centers) -> upper bounds`` certifies
-    numerically for all sampled rows of ``X`` at once when provided.
+    numerically, when provided, for ``samples`` points at once, drawn with
+    uniform norm up to a_200 and uniform direction.
     """
     if s < 2:
         raise ValueError(f"dimension must be >= 2, got {s}")
@@ -324,11 +338,9 @@ def epsilon_net(
     )
     if solver is not None:
         rng = rng or np.random.default_rng(0)
-        if max_norm is None:
-            max_norm = harmonic_radius(200)
         dirs = rng.normal(size=(samples, s))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        norms = rng.uniform(0.0, max_norm, size=samples)
+        norms = rng.uniform(0.0, harmonic_radius(200), size=samples)
         bounds = solver(norms[:, None] * dirs, centers)
         net.verification = {
             "epsilon": epsilon,

@@ -17,19 +17,19 @@ import numpy as np
 
 from chainmetric.rays import ConeParam, Ray, _field_direction, _point_to_ray_distance, ray_bases
 from chainmetric.sampler import NodeSet, SamplerConfig, _dedupe, _net_directions, euclid_context
-from chainmetric.std_map import M_MAX_DEFAULT, _radii_upto, harmonic_radius, sphere_bracket
+from chainmetric.std_map import M_MAX_DEFAULT, TAU, _radii_upto, harmonic_radius, sphere_bracket
 
 
-def sphere_index_reference(norm: float, tau: float = 1e-9, m_max: int = M_MAX_DEFAULT):
-    """Index m with |norm - a_m| <= tau * a_m, or None if off every sphere."""
-    if norm < 1.0 - tau:
+def sphere_index_reference(norm: float, m_max: int = M_MAX_DEFAULT):
+    """Index m with |norm - a_m| <= TAU * a_m, or None if off every sphere."""
+    if norm < 1.0 - TAU:
         return None
     radii = _radii_upto(min(m_max, 1024))
-    while radii[-1] < norm * (1.0 + tau) and len(radii) < m_max:
+    while radii[-1] < norm * (1.0 + TAU) and len(radii) < m_max:
         radii = _radii_upto(min(m_max, 2 * len(radii)))
     pos = int(np.searchsorted(radii, norm))
     for m in (pos, pos + 1):
-        if 1 <= m <= len(radii) and abs(norm - radii[m - 1]) <= tau * radii[m - 1]:
+        if 1 <= m <= len(radii) and abs(norm - radii[m - 1]) <= TAU * radii[m - 1]:
             return m
     return None
 

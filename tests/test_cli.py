@@ -1,5 +1,8 @@
 import json
+import re
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,6 +260,14 @@ class TestNet:
         result = invoke(runner, ["net", "--epsilon", "0.9", "--samples", "0"])
         assert result.exit_code == 2
 
+    def test_no_verify_prints_the_centre_table_only(self, runner):
+        args = ["--seed", "3", "net", "--epsilon", "0.9", "--samples", "20"]
+        verified = invoke(runner, args).output.splitlines()
+        result = invoke(runner, args + ["--no-verify"])
+        assert result.exit_code == 0
+        assert result.output.splitlines() == verified[:-1]
+        assert json.loads(verified[-1])["samples"] == 20
+
 
 class TestConverge:
     def test_table_is_monotone(self, runner):
@@ -328,6 +339,17 @@ class TestNoneq:
         result = invoke(runner, ["noneq", "--delta", "1.2"])
         assert result.exit_code == 2
 
+    def test_delta_defaults_to_the_group_delta(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 0.3}))
+        for args, delta in [(["--delta", "0.3"], 0.3), (["--config", str(cfg)], 0.3),
+                            (["--delta", "0.3", "--config", str(cfg)], 0.3), ([], 0.6)]:
+            result = invoke(runner, args + ["noneq", "--horizon", "5"])
+            assert result.exit_code == 0
+            assert json.loads("\n".join(result.output.splitlines()[6:]))["delta"] == delta
+        result = invoke(runner, ["--delta", "0.3", "noneq", "--delta", "0.5", "--horizon", "5"])
+        assert json.loads("\n".join(result.output.splitlines()[6:]))["delta"] == 0.5
+
 
 class TestBoundary:
     def test_h_map_interior(self, runner):
@@ -351,6 +373,15 @@ class TestBoundary:
         result = invoke(runner, ["boundary", "--map", "h", "2,0"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("which", ["h", "k", "h-ray"])
+    def test_huge_coordinate_is_usage_error_without_warnings(self, runner, which):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = invoke(runner, ["boundary", "--map", which, "--", "1e300,0"])
+        assert result.exit_code == 2
+        assert "outside the closed unit ball" in result.output
+        assert caught == []
+
 
 class TestRaysSweep:
     def test_separation_floor_holds(self, runner):
@@ -366,14 +397,55 @@ class TestRaysSweep:
         result = invoke(runner, ["rays", "--samples", "0"])
         assert result.exit_code == 2
 
+    def test_delta_defaults_to_the_group_delta(self, runner):
+        own = invoke(runner, ["rays", "--samples", "5", "--delta", "0.3"]).output
+        assert invoke(runner, ["--delta", "0.3", "rays", "--samples", "5"]).output == own
+        assert invoke(runner, ["rays", "--samples", "5"]).output != own
+
+
+# A run whose output shows every sampler setting: node counts per level.
+CONVERGE = ["converge", "--levels", "2", "1,2,0.5", "-2,0.3,1"]
+
 
 class TestConfigAndDeterminism:
     def test_config_file_applies_and_flags_win(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"weight_kind": "std_phi", "seed": 7,
-                                   "max_sphere_index": 3}))
-        result = invoke(runner, ["--config", str(cfg), "dist", "1,0", "0,1"])
+        out = tmp_path / "out.txt"
+        cfg.write_text(json.dumps({
+            "weight_kind": "ray_psi", "delta": 0.5, "seed": 7, "max_sphere_index": 3,
+            "angular_resolution": "0.8", "radial_steps": 3, "output": str(out),
+        }))
+        flags = {"--weight": "ray_psi", "--delta": "0.5", "--seed": "7", "--spheres": "3",
+                 "--resolution": "0.8", "--radial-steps": "3"}
+        as_args = lambda given: [token for item in given.items() for token in item]
+        expected = invoke(runner, as_args(flags) + CONVERGE).output
+        assert expected != invoke(runner, CONVERGE).output
+        result = invoke(runner, ["--config", str(cfg)] + CONVERGE)
         assert result.exit_code == 0
+        assert result.output == ""
+        assert out.read_text() == expected
+        # A flag beats the config entry for the same option.
+        four = invoke(runner, as_args({**flags, "--spheres": "4"}) + CONVERGE).output
+        assert four != expected
+        result = invoke(runner, ["--config", str(cfg), "--spheres", "4", "--output", ""]
+                        + CONVERGE)
+        assert result.output == four
+
+    # Each entry is parsed as its flag is: a bad value or an unknown key is a
+    # usage error for every command, never a traceback or a silent default.
+    @pytest.mark.parametrize("entry", [{"seed": "x"}, {"weight_kind": "nope"}, {"spheres": 3},
+                                       {"max_sphere_index": 2.7}, {"output": 5},
+                                       {"seed": True}, {"delta": [0.3]}, {"seed": -1}])
+    @pytest.mark.parametrize("command", [["dist", "1,0", "0,1"],
+                                         ["net", "--epsilon", "0.9", "--samples", "5"],
+                                         ["rays", "--samples", "2"]])
+    def test_bad_config_entry_is_usage_error(self, runner, tmp_path, entry, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        result = runner.invoke(main, ["--config", str(cfg)] + command)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines()[-1].startswith("Error: Invalid value for")
 
     def test_same_seed_byte_identical(self, runner):
         args = ["--seed", "3", "net", "--epsilon", "0.9", "--dimension", "3",
@@ -389,6 +461,12 @@ class TestConfigAndDeterminism:
         assert result.exit_code == 0
         assert target.read_text().startswith("lower ")
 
+    def test_unwritable_output_is_usage_error(self, runner, tmp_path):
+        target = tmp_path / "missing" / "x"
+        result = invoke(runner, ["--output", str(target), "dist", "1,0", "0,1"])
+        assert result.exit_code == 2
+        assert "cannot write --output" in result.output
+
     def test_missing_config_is_usage_error(self, runner):
         result = invoke(runner, ["--config", "/nonexistent.json",
                                  "dist", "1,0", "0,1"])
@@ -399,3 +477,21 @@ class TestConfigAndDeterminism:
         cfg.write_text("[1, 2]")
         result = invoke(runner, ["--config", str(cfg), "dist", "1,0", "0,1"])
         assert result.exit_code == 2
+
+
+def readme_commands() -> list:
+    """The ``chainmetric`` lines of the README's CLI block, as argument lists."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("chainmetric ")]
+
+
+def test_readme_cli_examples_run(runner, tmp_path):
+    commands = readme_commands()
+    assert len(commands) >= 8
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        Path("space.txt").write_text("3\n0 10 10\n10 0 20\n10 20 0\n")
+        for args in commands:
+            result = invoke(runner, args)
+            assert result.exit_code == 0, (args, result.output)

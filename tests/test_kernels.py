@@ -20,6 +20,7 @@ from chainmetric.sampler import (
     make_net_solver,
 )
 from chainmetric.std_map import (
+    TAU,
     _sphere_net,
     epsilon_net,
     harmonic_radius,
@@ -54,19 +55,16 @@ def unit_at(polar: float, azimuth: float, dim: int) -> np.ndarray:
                      np.sin(polar) * np.sin(azimuth)])
 
 
-taus = st.sampled_from([1e-9, 1e-6, 1e-3])
-
-
 @st.composite
-def norms_near_spheres(draw, tau):
-    """Norms on the tau band of a sphere and just outside it, below the first
+def norms_near_spheres(draw):
+    """Norms on the TAU band of a sphere and just outside it, below the first
     sphere, between two spheres, and beyond the last one, inf and NaN."""
     m = draw(st.integers(1, 5000))
     a, b = harmonic_radius(m), harmonic_radius(m + 1)
     return draw(st.sampled_from([
-        a, a * (1.0 - tau), a * (1.0 + tau), a * (1.0 - 1.01 * tau), a * (1.0 + 1.01 * tau),
-        0.5 * (a + b), 1.0 - tau, 1.0 - 2.0 * tau, 0.0,
-        draw(st.floats(0.0, 1.0 - 2.0 * tau)),
+        a, a * (1.0 - TAU), a * (1.0 + TAU), a * (1.0 - 1.01 * TAU), a * (1.0 + 1.01 * TAU),
+        0.5 * (a + b), 1.0 - TAU, 1.0 - 2.0 * TAU, 0.0,
+        draw(st.floats(0.0, 1.0 - 2.0 * TAU)),
         draw(st.floats(harmonic_radius(10**6) * 1.001, 1e300)),
         np.inf, np.nan,
     ]))
@@ -74,11 +72,11 @@ def norms_near_spheres(draw, tau):
 
 class TestSphereIndex:
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(data=st.data(), tau=taus)
-    def test_matches_scalar_lookup(self, data, tau):
-        norms = data.draw(st.lists(norms_near_spheres(tau), min_size=1, max_size=8))
-        idx = sphere_index(np.array(norms), tau)
-        expected = [sphere_index_reference(v, tau) or 0 for v in norms]
+    @given(data=st.data())
+    def test_matches_scalar_lookup(self, data):
+        norms = data.draw(st.lists(norms_near_spheres(), min_size=1, max_size=8))
+        idx = sphere_index(np.array(norms))
+        expected = [sphere_index_reference(v) or 0 for v in norms]
         assert idx.dtype.kind == "i"
         assert idx.tolist() == expected
 
