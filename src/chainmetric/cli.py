@@ -10,6 +10,7 @@ internal certificate holds, 1 on a certificate violation, 2 on bad input.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import sys
 
@@ -19,7 +20,7 @@ import numpy as np
 from .completion import nonequivalence_experiment
 from .core import certificate
 from .finite import FiniteSpace, dphi_exact, load_distance_matrix
-from .rays import ConeParam, Ray, boundary_map_h_ray, ray_directions, ray_distance
+from .rays import ConeParam, boundary_map_h_ray, ray_directions, ray_distances
 from .sampler import (
     EuclidContext,
     SamplerConfig,
@@ -31,11 +32,16 @@ from .sampler import (
     euclid_context,
     make_net_solver,
 )
-from .std_map import boundary_map_h_std, boundary_map_k_std, epsilon_net, net_index
+from .std_map import (_row_norms, boundary_map_h_std, boundary_map_k_std, epsilon_net,
+                      net_index)
 
 FMT = "{:.17g}"
-# Center rows that ``net`` formats and writes at a time.
-NET_BLOCK = 2**16
+# Rows of the ``net`` and ``rays`` tables computed and written at a time.
+TABLE_BLOCK = 2**16
+# The most samples ``net`` checks.  It holds some 16(s + 1) bytes per sample
+# (directions, norms, points, bounds): from 2e5 to 8e5 samples, peak RSS rose
+# 48 bytes per sample in 2-D and 62 in 3-D, so 10^7 peak near 0.5 and 0.7 GB.
+MAX_NET_SAMPLES = 10**7
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -62,15 +68,18 @@ def _load_config(ctx, param, path):
     if not isinstance(cfg, dict):
         raise click.BadParameter(f"{path} does not hold a JSON object", ctx, param)
     options = {p.name: p for p in ctx.command.params if p is not param}
+    ctx.default_map = {}
     for key, value in cfg.items():
         if key not in options:
             raise click.BadParameter(f"unknown key {key!r}", ctx, param)
         numeric = isinstance(options[key].type, (click.types.IntParamType,
                                                  click.types.FloatParamType))
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (isinstance(value, str) or (numeric and number)):
+        if not (isinstance(value, str) or numeric):
             raise click.BadParameter(f"bad value {value!r} for key {key!r}", ctx, param)
-    ctx.default_map = {key: str(value) for key, value in cfg.items()}
+        try:
+            ctx.default_map[key] = options[key].type.convert(str(value), options[key], ctx)
+        except click.BadParameter as exc:
+            raise click.BadParameter(f"key {key!r}: {exc.message}", ctx, param)
 
 
 def _sampler_config(opts: dict, dim: int) -> SamplerConfig:
@@ -183,7 +192,7 @@ def oracle(opts, matrix_file, anchor):
 @main.command()
 @click.option("--epsilon", type=float, required=True)
 @click.option("--dimension", "-s", type=int, default=2, show_default=True)
-@click.option("--samples", type=click.IntRange(min=1), default=10_000,
+@click.option("--samples", type=click.IntRange(min=1, max=MAX_NET_SAMPLES), default=10_000,
               show_default=True)
 @click.option("--verify/--no-verify", default=True, show_default=True)
 @click.pass_obj
@@ -201,8 +210,8 @@ def net(opts, epsilon, dimension, samples, verify):
     row = "%d," + ",".join(["%.17g"] * dimension) + "\n"  # FMT's format, one % per center
     with _writer(opts["output"]) as write:
         write(f"# epsilon-net k={result.k} centers={len(result.centers)}\n")
-        for lo in range(0, len(result.centers), NET_BLOCK):
-            block = result.centers[lo:lo + NET_BLOCK].tolist()
+        for lo in range(0, len(result.centers), TABLE_BLOCK):
+            block = result.centers[lo:lo + TABLE_BLOCK].tolist()
             write("".join([row % (i, *c) for i, c in enumerate(block, lo)]))
         if result.verification:
             write(json.dumps(result.verification) + "\n")
@@ -252,8 +261,6 @@ def noneq(opts, delta, horizon, dimension):
         report = nonequivalence_experiment(delta, horizon, s=dimension, seed=opts["seed"])
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    import io
-
     buf = io.StringIO()
     report.to_csv(buf)
     buf.write(report.to_json() + "\n")
@@ -271,20 +278,14 @@ def boundary(opts, which, point):
     """Evaluate a boundary parameterization map at a point."""
     p = _parse_point(point)
     try:
-        if which == "h":
-            rep = boundary_map_h_std(p)
-            out = f"{rep.kind} " + ",".join(FMT.format(v) for v in rep.point)
-        elif which == "k":
-            rep = boundary_map_h_std(p)
-            back = boundary_map_k_std(rep)
-            out = "ball " + ",".join(FMT.format(v) for v in back)
+        if which == "h-ray":
+            rep = boundary_map_h_ray(p, ConeParam(delta=opts["delta"], dim=len(p)))
         else:
-            cone = ConeParam(delta=opts["delta"], dim=len(p))
-            rep = boundary_map_h_ray(p, cone)
-            out = f"{rep.kind} " + ",".join(FMT.format(v) for v in rep.point)
+            rep = boundary_map_h_std(p)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    _emit(out + "\n", opts["output"])
+    kind, x = ("ball", boundary_map_k_std(rep)) if which == "k" else (rep.kind, rep.point)
+    _emit(f"{kind} " + ",".join(FMT.format(v) for v in x) + "\n", opts["output"])
 
 
 @main.command("rays")
@@ -300,21 +301,19 @@ def rays_cmd(opts, samples, delta, dimension):
         raise click.UsageError(str(exc))
     rng = np.random.default_rng(opts["seed"])
     factor = 1.0 / (2.0 * np.sqrt(2.0))
-    U = rng.normal(size=(samples, 2, dimension))
-    U /= np.linalg.norm(U, axis=2)[..., None]
-    D = ray_directions(U.reshape(-1, dimension), cone).reshape(U.shape)
-    lines = []
+    row = " ".join(["%.17g"] * (4 * dimension + 2)) + "\n"  # FMT's format, one % per pair
     violations = 0
-    for u, d in zip(U, D):
-        r1, r2 = Ray(base=u[0], direction=d[0]), Ray(base=u[1], direction=d[1])
-        sep = ray_distance(r1, r2)
-        floor = factor * float(np.linalg.norm(u[0] - u[1]))
-        if sep < floor - 1e-9:
-            violations += 1
-        coords = list(r1.base) + list(r1.direction) + list(r2.base) + list(r2.direction)
-        lines.append(" ".join(FMT.format(v) for v in coords)
-                     + " " + FMT.format(sep) + " " + FMT.format(floor))
-    _emit("\n".join(lines) + "\n", opts["output"])
+    with _writer(opts["output"]) as write:
+        for lo in range(0, samples, TABLE_BLOCK):  # block draws concatenate to one draw
+            U = rng.normal(size=(min(TABLE_BLOCK, samples - lo), 2, dimension))
+            U /= np.linalg.norm(U, axis=2)[..., None]
+            D = ray_directions(U.reshape(-1, dimension), cone).reshape(U.shape)
+            U0, D0, U1, D1 = U[:, 0], D[:, 0], U[:, 1], D[:, 1]
+            sep = ray_distances(U0, D0, U1, D1)
+            floor = factor * _row_norms(U0 - U1)
+            violations += int(np.count_nonzero(sep < floor - 1e-9))
+            table = np.column_stack([U0, D0, U1, D1, sep, floor]).tolist()
+            write("".join([row % tuple(r) for r in table]))
     if violations:
         click.echo(f"{violations} separation violations", err=True)
         sys.exit(1)

@@ -149,7 +149,6 @@ def local_isometry_radius(ctx: MetricContext, x) -> float:
 class AxiomReport:
     """Violations of the metric axioms found in a square distance matrix."""
 
-    tol: float
     nonnegativity: list = field(default_factory=list)
     identity: list = field(default_factory=list)
     symmetry: list = field(default_factory=list)
@@ -172,7 +171,10 @@ class AxiomReport:
         return "; ".join(parts)
 
 
-def verify_metric_axioms(matrix, tol: float = 1e-12) -> AxiomReport:
+AXIOM_TOL = 1e-12  # absolute slack of every metric-axiom check
+
+
+def verify_metric_axioms(matrix) -> AxiomReport:
     """Check nonnegativity, identity, symmetry and the triangle inequality.
 
     Every violation is recorded with its witnessing indices.  ``identity``
@@ -183,23 +185,23 @@ def verify_metric_axioms(matrix, tol: float = 1e-12) -> AxiomReport:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     n = M.shape[0]
-    report = AxiomReport(tol=tol)
+    report = AxiomReport()
 
-    for i, j in zip(*np.nonzero(M < -tol)):
+    for i, j in zip(*np.nonzero(M < -AXIOM_TOL)):
         report.nonnegativity.append((int(i), int(j), float(M[i, j])))
     for i in range(n):
-        if abs(M[i, i]) > tol:
+        if abs(M[i, i]) > AXIOM_TOL:
             report.identity.append((i, i, float(M[i, i])))
-    off = np.abs(M) <= tol
+    off = np.abs(M) <= AXIOM_TOL
     np.fill_diagonal(off, False)
     for i, j in zip(*np.nonzero(off)):
         report.identity.append((int(i), int(j), float(M[i, j])))
-    asym = np.abs(M - M.T) > tol
+    asym = np.abs(M - M.T) > AXIOM_TOL
     for i, j in zip(*np.nonzero(np.triu(asym, 1))):
         report.symmetry.append((int(i), int(j), float(M[i, j] - M[j, i])))
     for k in range(n):
         slack = M - (M[:, k, None] + M[None, k, :])
-        bad = slack > tol
+        bad = slack > AXIOM_TOL
         bad[:, k] = False
         bad[k, :] = False
         for i, j in zip(*np.nonzero(bad)):

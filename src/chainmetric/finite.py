@@ -35,7 +35,7 @@ class FiniteSpace:
         D = np.asarray(self.distances, dtype=float)
         _require_finite_entries(D, "distances")
         object.__setattr__(self, "distances", D)
-        report = verify_metric_axioms(D, tol=1e-12)
+        report = verify_metric_axioms(D)
         if not report.ok:
             raise ValueError(f"invalid distance matrix: {report.summary()}")
         if not 0 <= self.anchor_index < len(D):

@@ -11,8 +11,9 @@ y), the resulting compactification is not equivalent to the radial one.
 
 The field's forward map is batched over stacks of bases: ray directions
 (:func:`ray_directions`) and sphere crossings (:func:`ray_crossings`);
-:func:`ray_bases` inverts it.  :func:`ray_of`, :func:`ray_through` and
-:func:`h_pq_ray` are one-row calls of these kernels.
+:func:`ray_bases` inverts it, and :func:`ray_distances` gives the distance
+between the rays of paired rows.  :func:`ray_of`, :func:`ray_through`,
+:func:`h_pq_ray` and :func:`ray_distance` are one-row calls of these kernels.
 """
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .std_map import (BALL_TOL, TAU, _radii_upto, ball_norm, pairwise_distances,
-                      sphere_index, sphere_weight)
+from .std_map import (BALL_TOL, TAU, _radii_upto, _row_norms, ball_norm,
+                      pairwise_distances, sphere_index, sphere_weight)
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class Ray:
         return self.base + t * self.direction
 
 
-def polar_angle(x: np.ndarray, cone: ConeParam) -> float:
+def polar_angle(x: np.ndarray) -> float:
     """Angle between x and the cone axis, in [0, pi]."""
     x = np.asarray(x, dtype=float)
     c = float(x[0] / np.linalg.norm(x))
@@ -88,7 +89,7 @@ def _field_direction(alpha, delta: float):
 def bend_angle(x, cone: ConeParam) -> float:
     """Direction angle from the axis for a base point outside both cones:
     theta = pi/(pi - 2*delta) * (polar angle - delta)."""
-    alpha = polar_angle(x, cone)
+    alpha = polar_angle(x)
     dx, dy = _field_direction(alpha, cone.delta)
     if dy == 0.0:
         raise ValueError(f"base at polar angle {alpha} lies inside a cone")
@@ -101,13 +102,13 @@ def ray_directions(bases, cone: ConeParam) -> np.ndarray:
     and ``dx * axis + dy * w_hat`` in between, where ``w_hat`` is the unit
     vector orthogonal to the axis on the base's side of it."""
     B = np.asarray(bases, dtype=float)
-    alpha = np.arccos(np.clip(B[:, 0] / np.sqrt(np.vecdot(B, B)), -1.0, 1.0))
+    alpha = np.arccos(np.clip(B[:, 0] / _row_norms(B), -1.0, 1.0))
     dx, dy = _field_direction(alpha, cone.delta)
     D = dx[:, None] * cone.axis
     bent = dy != 0.0
     W = B[bent]
     W[:, 0] = 0.0
-    D[bent] += dy[bent, None] * (W / np.sqrt(np.vecdot(W, W))[:, None])
+    D[bent] += dy[bent, None] * (W / _row_norms(W)[:, None])
     return D
 
 
@@ -127,13 +128,7 @@ def ray_crossings(bases, radii, cone: ConeParam) -> np.ndarray:
 
 def ray_of(x, cone: ConeParam) -> Ray:
     """The ray of the field based at a unit-sphere point."""
-    x = np.asarray(x, dtype=float)
-    return Ray(base=x, direction=ray_directions(x[None, :], cone)[0])
-
-
-def _point_to_ray_distance(y: np.ndarray, ray: Ray) -> float:
-    t = max(0.0, float(np.dot(y - ray.base, ray.direction)))
-    return float(np.linalg.norm(y - ray.point_at(t)))
+    return Ray(base=x, direction=ray_directions([x], cone)[0])
 
 
 # Largest distance between a point and the ray found through it.
@@ -205,7 +200,8 @@ def ray_through(y, cone: ConeParam) -> tuple[Ray, float]:
     residual distance from the point to it; see :func:`ray_bases`."""
     y = np.asarray(y, dtype=float)
     ray = ray_of(ray_bases(y[None, :], cone)[0], cone)
-    return ray, _point_to_ray_distance(y, ray)
+    t = max(0.0, float(np.dot(y - ray.base, ray.direction)))
+    return ray, float(np.linalg.norm(y - ray.point_at(t)))
 
 
 def h_pq_ray(x, q, cone: ConeParam) -> np.ndarray:
@@ -233,8 +229,7 @@ def psi(x, y, cone: ConeParam) -> float:
     nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
     p, q = sphere_index([nx, ny])
     if p and q:
-        bx = ray_through(x / min(nx, 1.0), cone)[0].base
-        by = ray_through(y / min(ny, 1.0), cone)[0].base
+        bx, by = ray_bases([x / min(nx, 1.0), y / min(ny, 1.0)], cone)
         if float(np.linalg.norm(bx - by)) <= TAU:
             return 0.0
         if p == q:
@@ -256,32 +251,34 @@ def psi_matrix(points, D, cone: ConeParam) -> np.ndarray:
     return sphere_weight(D, idx, base_dist, base_dist)
 
 
-def ray_distance(r1: Ray, r2: Ray) -> float:
-    """Infimum Euclidean distance between two rays (closed-form, clamped).
+def ray_distances(B1, D1, B2, D2) -> np.ndarray:
+    """Infimum Euclidean distance between paired rays, row by row: bases
+    ``B1`` and ``B2``, directions ``D1`` and ``D2`` (closed form, clamped).
 
     The squared distance is a convex quadratic over the parameter quadrant,
     so the minimum is either the unconstrained critical point or lies on a
     boundary where one parameter is zero and the other is a clamped
     projection.
     """
-    b1, d1 = r1.base, r1.direction
-    b2, d2 = r2.base, r2.direction
-    w = b1 - b2
-    b = float(np.dot(d1, d2))
-    c1 = float(np.dot(d1, w))
-    c2 = float(np.dot(d2, w))
-    best = np.inf
+    B1, D1, B2, D2 = (np.asarray(a, dtype=float) for a in (B1, D1, B2, D2))
+    w = B1 - B2
+    b = np.vecdot(D1, D2)
+    c1 = np.vecdot(D1, w)
+    c2 = np.vecdot(D2, w)
     denom = 1.0 - b * b
-    if denom > 1e-14:
-        t1 = (b * c2 - c1) / denom
-        t2 = (c2 - b * c1) / denom
-        if t1 >= 0.0 and t2 >= 0.0:
-            best = float(np.linalg.norm(r1.point_at(t1) - r2.point_at(t2)))
-    t2 = max(0.0, c2)
-    best = min(best, float(np.linalg.norm(b1 - r2.point_at(t2))))
-    t1 = max(0.0, -c1)
-    best = min(best, float(np.linalg.norm(r1.point_at(t1) - b2)))
-    return best
+    oblique = denom > 1e-14  # not parallel, so the critical point exists
+    safe = np.where(oblique, denom, 1.0)
+    t1 = (b * c2 - c1) / safe
+    t2 = (c2 - b * c1) / safe
+    crit = _row_norms((B1 + t1[:, None] * D1) - (B2 + t2[:, None] * D2))
+    best = np.where(oblique & (t1 >= 0.0) & (t2 >= 0.0), crit, np.inf)
+    best = np.minimum(best, _row_norms(B1 - (B2 + np.maximum(0.0, c2)[:, None] * D2)))
+    return np.minimum(best, _row_norms((B1 + np.maximum(0.0, -c1)[:, None] * D1) - B2))
+
+
+def ray_distance(r1: Ray, r2: Ray) -> float:
+    """Infimum Euclidean distance between two rays; see :func:`ray_distances`."""
+    return float(ray_distances([r1.base], [r1.direction], [r2.base], [r2.direction])[0])
 
 
 def spherical_distance(p1, p2) -> float:

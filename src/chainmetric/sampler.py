@@ -22,6 +22,7 @@ from .rays import ConeParam, psi, psi_matrix, ray_crossings, ray_through
 from .std_map import (
     M_MAX_DEFAULT,
     _radii_upto,
+    _row_norms,
     harmonic_radius,
     pairwise_distances,
     phi_std,
@@ -299,13 +300,6 @@ def convergence_run(
         value, _ = approx_dphi(graph, x, y)
         rows.append((level, len(nodes), value))
     return rows
-
-
-def _row_norms(X: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of ``X``, bit-equal to
-    ``float(np.linalg.norm(x))`` on the row alone (both take the dot product;
-    ``np.linalg.norm(X, axis=1)`` sums squares and can differ in the last bit)."""
-    return np.sqrt(np.vecdot(X, X))
 
 
 # Centers per grid cell on average in the nearest-center search, centers

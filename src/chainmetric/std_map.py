@@ -110,6 +110,13 @@ def pairwise_distances(P: np.ndarray) -> np.ndarray:
     return np.sqrt(sq)
 
 
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``X``, bit-equal to
+    ``float(np.linalg.norm(x))`` on the row alone (both take the dot product;
+    ``np.linalg.norm(X, axis=1)`` sums squares and can differ in the last bit)."""
+    return np.sqrt(np.vecdot(X, X))
+
+
 def sphere_weight(D, idx, base_dist, same_cost) -> np.ndarray:
     """The weight law of both compactifications: a pair pays its Euclidean
     distance ``D`` unless both nodes lie on spheres (``idx > 0``); then it

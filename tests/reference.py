@@ -2,7 +2,8 @@
 
 These are the scalar algorithms the library used before its batched
 kernels: one sphere lookup per norm, the ray of one base point at a time
-and its crossing with one sphere at a time, a sample built one direction
+and its crossing with one sphere at a time, the distance between one pair
+of rays at a time, a sample built one direction
 and one sphere at a time, one bisection per point for the ray base, a
 binary-heap Dijkstra per source, one shortest-path solve per
 epsilon-net sample, a whole-cube grid for the 3-D sphere net and a
@@ -15,7 +16,7 @@ import heapq
 
 import numpy as np
 
-from chainmetric.rays import ConeParam, Ray, _field_direction, _point_to_ray_distance, ray_bases
+from chainmetric.rays import ConeParam, Ray, _field_direction, ray_bases
 from chainmetric.sampler import NodeSet, SamplerConfig, _dedupe, _net_directions, euclid_context
 from chainmetric.std_map import M_MAX_DEFAULT, TAU, _radii_upto, harmonic_radius, sphere_bracket
 
@@ -48,11 +49,40 @@ def ray_of_reference(x, cone: ConeParam) -> Ray:
     return Ray(base=x, direction=dx * cone.axis + dy * (w / float(np.linalg.norm(w))))
 
 
+def _point_to_ray_distance(y: np.ndarray, ray: Ray) -> float:
+    t = max(0.0, float(np.dot(y - ray.base, ray.direction)))
+    return float(np.linalg.norm(y - ray.point_at(t)))
+
+
 def ray_crossing_reference(ray: Ray, radius: float) -> np.ndarray:
     """The point where a ray meets the sphere of the given radius >= 1: the
     larger root of |base + t direction| = radius."""
     bd = float(np.dot(ray.base, ray.direction))
     return ray.point_at(-bd + np.sqrt(bd * bd - (1.0 - radius * radius)))
+
+
+def ray_distance_reference(r1: Ray, r2: Ray) -> float:
+    """Infimum Euclidean distance between two rays: the unconstrained
+    critical point when it lies in the parameter quadrant, else the better
+    of the two clamped projections of one base onto the other ray."""
+    b1, d1 = r1.base, r1.direction
+    b2, d2 = r2.base, r2.direction
+    w = b1 - b2
+    b = float(np.dot(d1, d2))
+    c1 = float(np.dot(d1, w))
+    c2 = float(np.dot(d2, w))
+    best = np.inf
+    denom = 1.0 - b * b
+    if denom > 1e-14:
+        t1 = (b * c2 - c1) / denom
+        t2 = (c2 - b * c1) / denom
+        if t1 >= 0.0 and t2 >= 0.0:
+            best = float(np.linalg.norm(r1.point_at(t1) - r2.point_at(t2)))
+    t2 = max(0.0, c2)
+    best = min(best, float(np.linalg.norm(b1 - r2.point_at(t2))))
+    t1 = max(0.0, -c1)
+    best = min(best, float(np.linalg.norm(r1.point_at(t1) - b2)))
+    return best
 
 
 def build_sample_reference(config: SamplerConfig, endpoints, weight_kind: str = "std_phi",

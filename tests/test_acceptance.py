@@ -87,7 +87,7 @@ def test_criterion_01_oracle_equivalence(oracle_runs):
 def test_criterion_02_metric_axioms(oracle_runs):
     runs, _ = oracle_runs
     for _, _, exact, _ in runs:
-        assert verify_metric_axioms(exact, tol=1e-12).ok
+        assert verify_metric_axioms(exact).ok
     report(2, "metric axioms", f"{len(runs)} exact matrices at 1e-12")
 
 

@@ -10,11 +10,13 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainmetric.cli import main
+from chainmetric.cli import MAX_NET_SAMPLES, main
 from chainmetric.core import certificate, lower_bound_certificate
 from chainmetric.sampler import euclid_context
-from chainmetric.std_map import M_MAX_DEFAULT, _ball_net, harmonic_radius, net_index
-from reference import net_solver_reference, sphere_net_reference
+from chainmetric.rays import ConeParam
+from chainmetric.std_map import M_MAX_DEFAULT, EpsilonNet, _ball_net, harmonic_radius, net_index
+from reference import (net_solver_reference, ray_distance_reference, ray_of_reference,
+                       sphere_net_reference)
 
 
 @pytest.fixture
@@ -209,6 +211,24 @@ def expected_net_stdout(epsilon, dim, samples, seed):
     return "\n".join(lines) + "\n"
 
 
+def expected_rays_stdout(samples, delta, dim, seed):
+    """``rays`` stdout rebuilt one pair at a time: the reference rays of two
+    drawn bases, their reference distance and the floor, each value formatted
+    on its own."""
+    cone = ConeParam(delta=delta, dim=dim)
+    rng = np.random.default_rng(seed)
+    U = rng.normal(size=(samples, 2, dim))
+    U /= np.linalg.norm(U, axis=2)[..., None]
+    lines = []
+    for u in U:
+        r1, r2 = ray_of_reference(u[0], cone), ray_of_reference(u[1], cone)
+        floor = 1.0 / (2.0 * np.sqrt(2.0)) * float(np.linalg.norm(u[0] - u[1]))
+        values = [*r1.base, *r1.direction, *r2.base, *r2.direction,
+                  ray_distance_reference(r1, r2), floor]
+        lines.append(" ".join("{:.17g}".format(v) for v in values) + "\n")
+    return "".join(lines)
+
+
 def first_difference(got: str, want: str) -> str:
     """The first differing line of two outputs, cheap to report however long
     they are."""
@@ -232,7 +252,7 @@ class TestNet:
     def test_blocks_do_not_change_the_output(self, runner, monkeypatch):
         args = ["--seed", "3", "net", "--epsilon", "0.9", "--samples", "20"]
         expected = invoke(runner, args).output
-        monkeypatch.setattr("chainmetric.cli.NET_BLOCK", 7)
+        monkeypatch.setattr("chainmetric.cli.TABLE_BLOCK", 7)
         assert invoke(runner, args).output == expected
 
     def test_coarse_net_reports_coverage(self, runner):
@@ -259,6 +279,22 @@ class TestNet:
     def test_zero_samples_is_usage_error(self, runner):
         result = invoke(runner, ["net", "--epsilon", "0.9", "--samples", "0"])
         assert result.exit_code == 2
+
+    def test_samples_beyond_the_cap_is_usage_error(self, runner, monkeypatch):
+        asked = []
+
+        def no_net(epsilon, s, solver=None, samples=0, rng=None):
+            asked.append(samples)  # a stand-in: nothing is drawn or allocated
+            return EpsilonNet(epsilon=epsilon, k=1, centers=np.zeros((0, s)),
+                              sphere_center_count=0)
+
+        monkeypatch.setattr("chainmetric.cli.epsilon_net", no_net)
+        args = ["net", "--epsilon", "0.9", "--no-verify", "--samples"]
+        assert invoke(runner, args + [str(MAX_NET_SAMPLES)]).exit_code == 0
+        result = invoke(runner, args + [str(MAX_NET_SAMPLES + 1)])
+        assert result.exit_code == 2
+        assert "--samples" in result.output
+        assert asked == [MAX_NET_SAMPLES]
 
     def test_no_verify_prints_the_centre_table_only(self, runner):
         args = ["--seed", "3", "net", "--epsilon", "0.9", "--samples", "20"]
@@ -397,6 +433,20 @@ class TestRaysSweep:
         result = invoke(runner, ["rays", "--samples", "0"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("dim, delta, samples", [(2, 0.05, 7), (3, 0.6, 40), (4, 0.78, 9)])
+    def test_output_matches_the_per_pair_reference(self, runner, dim, delta, samples):
+        result = invoke(runner, ["--seed", "11", "rays", "--samples", str(samples),
+                                 "--delta", str(delta), "-s", str(dim)])
+        assert result.exit_code == 0
+        assert result.output == expected_rays_stdout(samples, delta, dim, 11)
+
+    def test_blocks_do_not_change_the_output(self, runner, monkeypatch):
+        args = ["--seed", "4", "rays", "--samples", "23", "-s", "3"]
+        expected = invoke(runner, args).output
+        for block in (1, 5, 23):
+            monkeypatch.setattr("chainmetric.cli.TABLE_BLOCK", block)
+            assert invoke(runner, args).output == expected
+
     def test_delta_defaults_to_the_group_delta(self, runner):
         own = invoke(runner, ["rays", "--samples", "5", "--delta", "0.3"]).output
         assert invoke(runner, ["--delta", "0.3", "rays", "--samples", "5"]).output == own
@@ -445,7 +495,9 @@ class TestConfigAndDeterminism:
         result = runner.invoke(main, ["--config", str(cfg)] + command)
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
-        assert result.output.splitlines()[-1].startswith("Error: Invalid value for")
+        error = result.output.splitlines()[-1]
+        assert error.startswith("Error: Invalid value for '--config'")
+        assert repr(next(iter(entry))) in error  # the config key, not its flag
 
     def test_same_seed_byte_identical(self, runner):
         args = ["--seed", "3", "net", "--epsilon", "0.9", "--dimension", "3",

@@ -1,7 +1,7 @@
 """The batched kernels (sphere classification, pairwise distances, the ray
-field and its inversion, the structured sample, shortest paths, stacked link costs, the epsilon-net solver,
+field, its inversion and ray separation, the structured sample, shortest paths, stacked link costs, the epsilon-net solver,
 nearest-center search and sphere net) against their loop-per-element
-references and the brute-force oracle."""
+references, the scalar link cost ``core.delta`` and the brute-force oracle."""
 import functools
 
 import numpy as np
@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainmetric.core import delta as link_cost
 from chainmetric.finite import dphi_bruteforce, dphi_exact, shortest_paths
-from chainmetric.rays import ConeParam, ray_bases, ray_crossings, ray_directions, ray_of
+from chainmetric.rays import (ConeParam, Ray, ray_bases, ray_crossings, ray_directions,
+                              ray_distance, ray_distances, ray_of)
 from chainmetric.sampler import (
     SamplerConfig,
     _CenterGrid,
@@ -36,6 +38,7 @@ from reference import (
     nearest_center_reference,
     net_solver_reference,
     ray_crossing_reference,
+    ray_distance_reference,
     ray_of_reference,
     ray_through_reference,
     sphere_index_reference,
@@ -213,6 +216,59 @@ class TestRayField:
 
 
 @st.composite
+def ray_pairs(draw, cone):
+    """Paired rays, four arrays ``B1, D1, B2, D2`` of shape (n, s): bases from
+    ``field_bases`` with their field directions, each partner another field
+    base, the same base, its antipode, or the base tilted by 1e-9 so that the
+    rays are parallel to within the kernel's 1e-14 cut-off.  A pair may take
+    random unit directions instead, since rays of the field never reach the
+    interior critical point of their distance."""
+    B1 = draw(field_bases(cone.dim, cone.delta))
+    others = draw(field_bases(cone.dim, cone.delta))
+    B2 = np.empty_like(B1)
+    for i, b in enumerate(B1):
+        kind = draw(st.sampled_from(["other", "same", "antipodal", "tilted"]))
+        if kind == "other":
+            B2[i] = others[i % len(others)]
+        elif kind == "tilted":
+            t = b + 1e-9 * np.roll(b, 1)
+            B2[i] = t / np.linalg.norm(t)
+        else:
+            B2[i] = b if kind == "same" else -b
+    D1, D2 = ray_directions(B1, cone), ray_directions(B2, cone)
+    free = np.array(draw(st.lists(st.booleans(), min_size=len(B1), max_size=len(B1))))
+    R = np.random.default_rng(draw(seeds)).normal(size=(2, len(B1), cone.dim))
+    R /= np.linalg.norm(R, axis=2, keepdims=True)
+    D1[free], D2[free] = R[0, free], R[1, free]
+    return B1, D1, B2, D2
+
+
+class TestRayDistances:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), dim=st.integers(2, 5), delta=open_deltas)
+    def test_bit_equal_to_per_pair_reference(self, data, dim, delta):
+        B1, D1, B2, D2 = data.draw(ray_pairs(ConeParam(delta=delta, dim=dim)))
+        rays = [(Ray(b1, d1), Ray(b2, d2)) for b1, d1, b2, d2 in zip(B1, D1, B2, D2)]
+        expected = [ray_distance_reference(r1, r2) for r1, r2 in rays]
+        assert same_bits(ray_distances(B1, D1, B2, D2), expected)
+        assert same_bits(ray_distance(*rays[0]), expected[0])
+
+    def test_parallel_antiparallel_and_identical_rays(self):
+        cone = ConeParam(delta=0.7, dim=3)  # polar angles 0, 0.45 and 0.64 lie in its cone
+        B1 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.8, 0.6, 0.0], [0.8, 0.6, 0.0]])
+        B2 = np.array([[0.9, 0.0, np.sqrt(0.19)], [0.0, 1.0, 0.0], [-0.8, 0.6, 0.0],
+                       [0.8, 0.0, 0.6]])
+        D1, D2 = ray_directions(B1, cone), ray_directions(B2, cone)
+        got = ray_distances(B1, D1, B2, D2)
+        # Parallel rays in one cone: the later base's distance to the other
+        # ray; antiparallel rays in opposite cones: their bases' distance.
+        assert got[0] == pytest.approx(np.sqrt(0.19), abs=1e-15)
+        assert got[1] == 0.0
+        assert got[2] == pytest.approx(1.6, abs=1e-15)
+        assert got[3] == pytest.approx(np.sqrt(0.72), abs=1e-15)
+
+
+@st.composite
 def sample_endpoints(draw, dim):
     """Endpoints of a sample: inside the unit ball, within tau below it,
     exactly on sphere 1 or sphere m, between two spheres, anywhere up to
@@ -246,6 +302,51 @@ class TestBuildSample:
         expected = build_sample_reference(config, endpoints, weight, cone)
         assert same_bits(nodes.points, expected.points)
         assert nodes.provenance == expected.provenance
+
+
+@st.composite
+def spec_endpoints(draw, dim):
+    """Endpoints where the link-cost cases turn: on sphere m <= 5, inside its
+    TAU band at a_m(1 +- 0.99 TAU) and just outside it at a_m(1 +- 1.01 TAU),
+    within the band of sphere 1 inside the ball at 1 - TAU/2, and off every
+    sphere; along a random direction or a signed coordinate axis."""
+    rng = np.random.default_rng(draw(seeds))
+    u = rng.normal(size=dim)
+    if draw(st.booleans()):
+        u = np.eye(dim)[draw(st.integers(0, dim - 1))] * draw(st.sampled_from([1.0, -1.0]))
+    a = harmonic_radius(draw(st.integers(1, 5)))
+    scale = draw(st.sampled_from([1.0, 1.0 - 0.99 * TAU, 1.0 + 0.99 * TAU,
+                                  1.0 - 1.01 * TAU, 1.0 + 1.01 * TAU]))
+    norm = draw(st.sampled_from([a * scale, 1.0 - TAU / 2.0, rng.uniform(0.0, 6.0)]))
+    return norm * u / np.linalg.norm(u)
+
+
+class TestLinkMatrixAgainstDelta:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), weight=st.sampled_from(["std_phi", "ray_psi"]), dim=dims,
+           delta=deltas)
+    def test_sample_link_costs_equal_the_scalar_link_cost(self, data, weight, dim, delta):
+        config = SamplerConfig(
+            dimension=dim,
+            max_sphere_index=data.draw(st.integers(1, 5)),
+            angular_resolution=data.draw(st.sampled_from([0.8, 1.0, 2.0])),
+            radial_steps=data.draw(st.integers(0, 2)),
+            seed=data.draw(st.integers(0, 3)),
+        )
+        endpoints = [data.draw(spec_endpoints(dim)), data.draw(spec_endpoints(dim))]
+        cone = ConeParam(delta=delta, dim=dim)
+        ctx = euclid_context(weight, cone=cone, dim=dim)
+        P = build_sample(config, endpoints, weight, cone).points
+        W = ctx.link_matrix(P)
+        # Every pair with an endpoint, and 200 others: a scalar link cost
+        # between two nodes on spheres inverts both under the ray weight.
+        rng = np.random.default_rng(data.draw(seeds))
+        n = len(P)
+        pairs = [(e, j) for e in (0, 1) for j in range(n)]
+        pairs += zip(rng.integers(n, size=200).tolist(), rng.integers(n, size=200).tolist())
+        for i, j in pairs:
+            value = link_cost(ctx, P[i], P[j])
+            assert abs(W[i, j] - value) <= 1e-12 * max(1.0, abs(value)), (i, j)
 
 
 def random_costs(rng, n, masked: bool) -> np.ndarray:
