@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from .completion import nonequivalence_experiment
-from .core import certificate
+from .core import certificate, delta
 from .finite import FiniteSpace, dphi_exact, load_distance_matrix
 from .rays import ConeParam, boundary_map_h_ray, ray_directions, ray_distances
 from .sampler import (
@@ -181,12 +181,19 @@ def oracle(opts, matrix_file, anchor):
         space = FiniteSpace(distances=D, anchor_index=anchor)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    result = dphi_exact(space.context(), space)
+    result = dphi_exact(space)
     n = len(space)
-    lines = [str(n)]
-    for row in result.values:
-        lines.append(" ".join(FMT.format(v) for v in row))
-    _emit("\n".join(lines) + "\n", opts["output"])
+    row = " ".join(["%.17g"] * n) + "\n"  # FMT's format, one % per entry
+    _emit("".join([f"{n}\n"] + [row % tuple(r) for r in result.values.tolist()]), opts["output"])
+    # Spec certificate: each edge of the anchor's shortest-path tree, priced
+    # by the scalar delta in its (i, j), i < j orientation, must extend the
+    # distance of its tail to that of its head exactly, as the table is
+    # bit-equal to delta.
+    ctx, dist = space.context(), result.values[anchor].tolist()
+    for v, u in enumerate(result.pred[anchor].tolist()):
+        if u >= 0 and dist[v] != dist[u] + delta(ctx, min(u, v), max(u, v)):
+            click.echo("certificate violation", err=True)
+            sys.exit(1)
 
 
 @main.command()

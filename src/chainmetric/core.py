@@ -11,10 +11,11 @@ endpoints move away from the anchor; a well chosen weight makes far-apart
 points cheap to connect, which is what turns an unbounded space into a
 totally bounded one.
 
-This module only deals with single links, explicit chains and analytic
-bound certificates.  Exact evaluation of the infimum on finite spaces lives
-in :mod:`chainmetric.finite`; sampled upper bounds on R^s live in
-:mod:`chainmetric.sampler`.
+This module only deals with link costs (``delta`` one pair at a time, the
+specification; ``link_costs`` every pair of a matrix at once), explicit
+chains and analytic bound certificates.  Exact evaluation of the infimum
+on finite spaces lives in :mod:`chainmetric.finite`; sampled upper bounds
+on R^s live in :mod:`chainmetric.sampler`.
 """
 from __future__ import annotations
 
@@ -101,6 +102,18 @@ def delta(ctx: MetricContext, x, y) -> float:
         + 1.0 / (1.0 + ctx.anchor_distance(y))
     )
     return min(direct, detour)
+
+
+def link_costs(D: np.ndarray, inv: np.ndarray, weight) -> np.ndarray:
+    """All link costs at once: ``D`` holds the base distances ``(..., n, n)``,
+    ``inv`` the anchor terms ``1/(1+d(m,x))`` ``(..., n)`` and ``weight`` the
+    pair weights (a matrix or a scalar).  Each entry sums ``inv_i + w_ij +
+    inv_j`` in ``delta``'s order, so it is bit-equal to ``delta`` on the pair
+    ``(i, j)``; the diagonal is 0."""
+    W = np.minimum(D, inv[..., :, None] + weight + inv[..., None, :])
+    diag = np.arange(W.shape[-1])
+    W[..., diag, diag] = 0.0
+    return W
 
 
 def chain_cost(ctx: MetricContext, chain: Chain) -> float:

@@ -10,12 +10,11 @@ path so the two act as independent oracles for each other.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MetricContext, delta, verify_metric_axioms
+from .core import MetricContext, delta, link_costs, verify_metric_axioms
 
 
 @dataclass(frozen=True)
@@ -68,22 +67,26 @@ class FiniteSpace:
 
 @dataclass(frozen=True)
 class DphiMatrix:
-    """Exact transformed-distance matrix over a finite space."""
+    """Exact transformed-distance matrix over a finite space; ``pred`` holds
+    the shortest-path predecessors of ``dphi_exact``, one row per source."""
 
     values: np.ndarray
+    pred: np.ndarray | None = None
 
     def __getitem__(self, key):
         return self.values[key]
 
 
-def link_table(ctx: MetricContext, space: FiniteSpace) -> np.ndarray:
-    """All-pairs single-link costs."""
-    n = len(space)
-    table = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            table[i, j] = table[j, i] = delta(ctx, i, j)
-    return table
+def link_table(space: FiniteSpace) -> np.ndarray:
+    """All-pairs single-link costs, bit-equal to ``delta(ctx, i, j)`` for
+    ``i < j``: the upper triangle is priced in that orientation and mirrored,
+    so a distance matrix symmetric only to within ``AXIOM_TOL`` still gives a
+    symmetric table."""
+    D = space.distances
+    inv = 1.0 / (1.0 + D[space.anchor_index])
+    weight = 0.0 if space.weights is None else space.weights
+    table = np.triu(link_costs(D, inv, weight), 1)
+    return table + table.T
 
 
 def shortest_paths(W: np.ndarray, sources, target: int | None = None):
@@ -127,14 +130,13 @@ def shortest_paths(W: np.ndarray, sources, target: int | None = None):
     return dist, pred
 
 
-def dphi_exact(ctx: MetricContext, space: FiniteSpace) -> DphiMatrix:
+def dphi_exact(space: FiniteSpace) -> DphiMatrix:
     """Exact transform via shortest paths over the complete link-cost graph."""
     n = len(space)
     if n == 0:
         raise ValueError("space must have at least 1 point")
-    table = link_table(ctx, space)
-    values, _ = shortest_paths(table, np.arange(n))
-    return DphiMatrix(values=values)
+    values, pred = shortest_paths(link_table(space), np.arange(n))
+    return DphiMatrix(values=values, pred=pred)
 
 
 def dphi_bruteforce(
@@ -203,10 +205,3 @@ def _require_finite_entries(M: np.ndarray, name: str) -> None:
 def load_distance_matrix(path) -> np.ndarray:
     with open(path) as fh:
         return parse_distance_matrix(fh.read())
-
-
-def dump_distance_matrix(matrix: np.ndarray, fh: io.TextIOBase) -> None:
-    n = len(matrix)
-    fh.write(f"{n}\n")
-    for row in matrix:
-        fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")

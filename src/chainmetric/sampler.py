@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Chain, MetricContext
+from .core import Chain, MetricContext, link_costs
 from .finite import shortest_paths
 from .rays import ConeParam, psi, psi_matrix, ray_crossings, ray_through
 from .std_map import (
@@ -53,8 +53,9 @@ class SamplerConfig:
 @dataclass(frozen=True)
 class EuclidContext(MetricContext):
     """Euclidean base metric with the origin anchor and one of the two
-    compactification weights; ``link_matrix`` is the one vectorized link-cost
-    path on R^s, computing the distance matrix once for weight and link."""
+    compactification weights; ``link_matrix`` prices every pair of a sample
+    with ``core.link_costs``, computing the distance matrix once for weight
+    and link."""
 
     weight_kind: str = "std_phi"
     cone: Optional[ConeParam] = None
@@ -70,10 +71,7 @@ class EuclidContext(MetricContext):
         else:
             weight = psi_matrix(P, D, self.cone)
         inv = 1.0 / (1.0 + np.linalg.norm(P, axis=-1))
-        W = np.minimum(D, inv[..., :, None] + weight + inv[..., None, :])
-        diag = np.arange(P.shape[-2])
-        W[..., diag, diag] = 0.0
-        return W
+        return link_costs(D, inv, weight)
 
 
 def euclid_context(

@@ -1,7 +1,8 @@
 """Loop-per-element reference implementations for the vectorized kernels.
 
 These are the scalar algorithms the library used before its batched
-kernels: one sphere lookup per norm, the ray of one base point at a time
+kernels: one scalar link cost per pair of a finite space, one sphere
+lookup per norm, the ray of one base point at a time
 and its crossing with one sphere at a time, the distance between one pair
 of rays at a time, a sample built one direction
 and one sphere at a time, one bisection per point for the ray base, a
@@ -16,9 +17,23 @@ import heapq
 
 import numpy as np
 
+from chainmetric.core import delta
+from chainmetric.finite import FiniteSpace
 from chainmetric.rays import ConeParam, Ray, _field_direction, ray_bases
 from chainmetric.sampler import NodeSet, SamplerConfig, _dedupe, _net_directions, euclid_context
 from chainmetric.std_map import M_MAX_DEFAULT, TAU, _radii_upto, harmonic_radius, sphere_bracket
+
+
+def link_table_reference(space: FiniteSpace) -> np.ndarray:
+    """All-pairs single-link costs, one ``core.delta`` call per pair in its
+    ``(i, j)``, ``i < j`` orientation, mirrored."""
+    ctx = space.context()
+    n = len(space)
+    table = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            table[i, j] = table[j, i] = delta(ctx, i, j)
+    return table
 
 
 def sphere_index_reference(norm: float, m_max: int = M_MAX_DEFAULT):

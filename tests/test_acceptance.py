@@ -66,7 +66,7 @@ def oracle_runs():
     for _ in range(200):
         space = random_finite_space(int(rng.integers(2, 9)), rng)
         ctx = space.context()
-        exact = dphi_exact(ctx, space).values
+        exact = dphi_exact(space).values
         brute = dphi_bruteforce(ctx, space).values
         runs.append((space, ctx, exact, brute))
     elapsed = time.perf_counter() - start

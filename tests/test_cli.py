@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainmetric.cli import MAX_NET_SAMPLES, main
-from chainmetric.core import certificate, lower_bound_certificate
+from chainmetric.core import certificate, delta as link_cost, lower_bound_certificate
+from chainmetric.finite import FiniteSpace, link_table
 from chainmetric.sampler import euclid_context
 from chainmetric.rays import ConeParam
 from chainmetric.std_map import M_MAX_DEFAULT, EpsilonNet, _ball_net, harmonic_radius, net_index
-from reference import (net_solver_reference, ray_distance_reference, ray_of_reference,
-                       sphere_net_reference)
+from conftest import random_finite_space
+from reference import (dijkstra_reference, link_table_reference, net_solver_reference,
+                       ray_distance_reference, ray_of_reference, sphere_net_reference)
 
 
 @pytest.fixture
@@ -187,6 +189,65 @@ class TestOracle:
         assert f"entry (0, 2) is {entry}" in result.output
         assert "Warning" not in result.output
         assert caught == []
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_stdout_equals_the_scalar_reference(self, runner, tmp_path, rng, n):
+        D = random_finite_space(n, rng).distances
+        anchor = int(rng.integers(n))
+        path = tmp_path / "space.txt"
+        write_space(path, D)
+        result = invoke(runner, ["oracle", str(path), "--anchor", str(anchor)])
+        assert result.exit_code == 0
+        assert result.output == expected_oracle_stdout(FiniteSpace(D, anchor_index=anchor))
+
+    def test_calls_delta_once_per_tree_edge(self, runner, tmp_path, rng, monkeypatch):
+        # The certificate prices the n - 1 edges of the anchor's shortest-path
+        # tree; a per-pair scalar link table would make n(n - 1)/2 calls.
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1:])
+            return link_cost(*args)
+
+        for module in ("core", "finite", "cli"):
+            monkeypatch.setattr(f"chainmetric.{module}.delta", counted)
+        n = 12
+        path = tmp_path / "space.txt"
+        write_space(path, random_finite_space(n, rng).distances)
+        result = invoke(runner, ["oracle", str(path), "--anchor", "5"])
+        assert result.exit_code == 0
+        assert len(calls) == n - 1
+        assert all(i < j for i, j in calls)
+
+    def test_table_off_by_one_ulp_is_certificate_violation(self, runner, tmp_path, rng,
+                                                           monkeypatch):
+        def nudged(space):
+            table = link_table(space)
+            return np.where(table > 0.0, np.nextafter(table, np.inf), table)
+
+        monkeypatch.setattr("chainmetric.finite.link_table", nudged)
+        path = tmp_path / "space.txt"
+        write_space(path, random_finite_space(7, rng).distances)
+        result = invoke(runner, ["oracle", str(path), "--anchor", "3"])
+        assert result.exit_code == 1
+        assert "certificate violation" in result.output
+
+
+def write_space(path, D):
+    """The text format, each entry with FMT's 17 digits, so it parses back
+    to the same floats."""
+    path.write_text(f"{len(D)}\n" + "".join(
+        " ".join("{:.17g}".format(v) for v in row) + "\n" for row in D))
+
+
+def expected_oracle_stdout(space):
+    """``oracle`` stdout rebuilt from the scalar link-cost loop and one heap
+    Dijkstra per source, each value formatted on its own."""
+    table = link_table_reference(space)
+    lines = [str(len(space))]
+    for s in range(len(space)):
+        lines.append(" ".join("{:.17g}".format(v) for v in dijkstra_reference(table, s)[0]))
+    return "\n".join(lines) + "\n"
 
 
 def expected_net_stdout(epsilon, dim, samples, seed):

@@ -99,7 +99,7 @@ class TestLowerBound:
         for _ in range(20):
             space = random_finite_space(int(rng.integers(2, 7)), rng)
             ctx = space.context()
-            exact = dphi_exact(ctx, space).values
+            exact = dphi_exact(space).values
             n = len(space)
             for i in range(n):
                 for j in range(n):
@@ -132,8 +132,7 @@ class TestLocalIsometryRadius:
 
 class TestVerifyMetricAxioms:
     def test_passes_on_exact_output(self, three_point_line):
-        ctx = three_point_line.context()
-        report = verify_metric_axioms(dphi_exact(ctx, three_point_line).values)
+        report = verify_metric_axioms(dphi_exact(three_point_line).values)
         assert report.ok
 
     def test_flags_negative_entry(self):

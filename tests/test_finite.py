@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from chainmetric.finite import (
     FiniteSpace,
     dphi_bruteforce,
     dphi_exact,
-    dump_distance_matrix,
     parse_distance_matrix,
 )
 
@@ -17,7 +14,7 @@ from conftest import random_finite_space
 
 def test_single_point_space():
     space = FiniteSpace(distances=np.zeros((1, 1)))
-    result = dphi_exact(space.context(), space)
+    result = dphi_exact(space)
     assert result.values.shape == (1, 1)
     assert result.values[0, 0] == 0.0
 
@@ -26,15 +23,14 @@ def test_two_point_space_is_single_link():
     D = np.array([[0.0, 3.0], [3.0, 0.0]])
     space = FiniteSpace(distances=D)
     ctx = space.context()
-    result = dphi_exact(ctx, space)
+    result = dphi_exact(space)
     assert result.values[0, 1] == pytest.approx(delta(ctx, 0, 1), abs=1e-15)
     brute = dphi_bruteforce(ctx, space)
     assert brute.values[0, 1] == result.values[0, 1]
 
 
 def test_three_point_line_values(three_point_line):
-    ctx = three_point_line.context()
-    result = dphi_exact(ctx, three_point_line)
+    result = dphi_exact(three_point_line)
     assert result.values[1, 2] == pytest.approx(2.0 / 11.0, abs=1e-12)
     assert result.values[0, 1] == pytest.approx(12.0 / 11.0, abs=1e-12)
     assert result.values[0, 2] == pytest.approx(12.0 / 11.0, abs=1e-12)
@@ -42,7 +38,7 @@ def test_three_point_line_values(three_point_line):
 
 def test_bruteforce_matches_exact_on_three_point_line(three_point_line):
     ctx = three_point_line.context()
-    exact = dphi_exact(ctx, three_point_line).values
+    exact = dphi_exact(three_point_line).values
     brute = dphi_bruteforce(ctx, three_point_line).values
     assert np.max(np.abs(exact - brute)) < 1e-12
 
@@ -51,7 +47,7 @@ def test_oracle_equivalence_random_six_point_spaces(rng):
     for _ in range(100):
         space = random_finite_space(6, rng)
         ctx = space.context()
-        exact = dphi_exact(ctx, space).values
+        exact = dphi_exact(space).values
         brute = dphi_bruteforce(ctx, space).values
         assert np.max(np.abs(exact - brute)) < 1e-12
 
@@ -60,7 +56,7 @@ def test_output_is_a_metric_below_link_cost(rng):
     for _ in range(20):
         space = random_finite_space(int(rng.integers(2, 8)), rng)
         ctx = space.context()
-        values = dphi_exact(ctx, space).values
+        values = dphi_exact(space).values
         assert verify_metric_axioms(values).ok
         n = len(space)
         for i in range(n):
@@ -89,13 +85,6 @@ def test_rejects_non_finite_entry(field, value):
     matrices[field][0, 2] = matrices[field][2, 0] = value
     with pytest.raises(ValueError, match=rf"entry \(0, 2\) is {value}; {field} must be finite"):
         FiniteSpace(**matrices)
-
-
-def test_matrix_text_roundtrip(three_point_line):
-    buf = io.StringIO()
-    dump_distance_matrix(three_point_line.distances, buf)
-    parsed = parse_distance_matrix(buf.getvalue())
-    assert np.array_equal(parsed, three_point_line.distances)
 
 
 def test_parse_rejects_wrong_count():

@@ -1,5 +1,6 @@
-"""The batched kernels (sphere classification, pairwise distances, the ray
-field, its inversion and ray separation, the structured sample, shortest paths, stacked link costs, the epsilon-net solver,
+"""The batched kernels (the finite link table, sphere classification,
+pairwise distances, the ray field, its inversion and ray separation, the
+structured sample, shortest paths, stacked link costs, the epsilon-net solver,
 nearest-center search and sphere net) against their loop-per-element
 references, the scalar link cost ``core.delta`` and the brute-force oracle."""
 import functools
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainmetric.core import delta as link_cost
-from chainmetric.finite import dphi_bruteforce, dphi_exact, shortest_paths
+from chainmetric.core import AXIOM_TOL, delta as link_cost
+from chainmetric.finite import (FiniteSpace, dphi_bruteforce, dphi_exact, link_table,
+                                shortest_paths)
 from chainmetric.rays import (ConeParam, Ray, ray_bases, ray_crossings, ray_directions,
                               ray_distance, ray_distances, ray_of)
 from chainmetric.sampler import (
@@ -35,6 +37,7 @@ from conftest import random_finite_space
 from reference import (
     build_sample_reference,
     dijkstra_reference,
+    link_table_reference,
     nearest_center_reference,
     net_solver_reference,
     ray_crossing_reference,
@@ -400,13 +403,33 @@ class TestStackedShortestPaths:
             assert np.array_equal(pred[b], ref_pred)
 
 
+class TestLinkTable:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 12), seed=seeds, weighted=st.booleans(), skewed=st.booleans(),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_bit_equal_to_scalar_delta_loop(self, n, seed, weighted, skewed, scale):
+        rng = np.random.default_rng(seed)
+        base = random_finite_space(n, rng)
+        D = base.distances * scale
+        if skewed:
+            # Each entry moves on its own, so D is symmetric only to within
+            # AXIOM_TOL and the two orientations of a pair price differently.
+            D = D + rng.uniform(-0.25, 0.25, size=(n, n)) * AXIOM_TOL
+            np.fill_diagonal(D, 0.0)
+        space = FiniteSpace(distances=D, anchor_index=int(rng.integers(n)),
+                            weights=base.weights if weighted else None)
+        table = link_table(space)
+        assert np.array_equal(table, link_table_reference(space))
+        assert np.array_equal(table, table.T)
+
+
 class TestDphiExact:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(n=st.integers(3, 8), seed=seeds)
     def test_equals_bruteforce(self, n, seed):
         space = random_finite_space(n, np.random.default_rng(seed))
         ctx = space.context()
-        exact = dphi_exact(ctx, space).values
+        exact = dphi_exact(space).values
         brute = dphi_bruteforce(ctx, space).values
         scale = float(np.max(space.distances))
         assert np.max(np.abs(exact - brute)) <= 1e-12 * scale

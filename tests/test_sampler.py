@@ -127,7 +127,7 @@ class TestApproxDphi:
 
         graph = build_graph(_Ctx, nodes)
         value, _ = approx_dphi(graph, pts[1], pts[2])
-        exact = dphi_exact(three_point_line.context(), three_point_line)
+        exact = dphi_exact(three_point_line)
         assert value == pytest.approx(exact.values[1, 2], abs=1e-12)
 
     def test_radial_pair_upper_bound(self, std_ctx):
