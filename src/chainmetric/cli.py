@@ -20,7 +20,8 @@ import numpy as np
 from .completion import nonequivalence_experiment
 from .core import certificate, delta
 from .finite import FiniteSpace, dphi_exact, load_distance_matrix
-from .rays import ConeParam, boundary_map_h_ray, ray_directions, ray_distances
+from .rays import (ConeParam, RayResidualError, boundary_map_h_ray, ray_directions,
+                   ray_distances)
 from .sampler import (
     EuclidContext,
     SamplerConfig,
@@ -112,6 +113,17 @@ def _emit(text: str, output) -> None:
         write(text)
 
 
+@contextlib.contextmanager
+def _ray_certified():
+    """A command under this decorator ends as a certificate violation (exit
+    1, message on stderr) when a point lies off the ray found through it."""
+    try:
+        yield
+    except RayResidualError as exc:
+        click.echo(f"certificate violation: {exc}", err=True)
+        sys.exit(1)
+
+
 @click.group()
 @click.option("--config", type=click.Path(exists=True), is_eager=True,
               expose_value=False, callback=_load_config,
@@ -143,6 +155,7 @@ POINT_ARGS = {"ignore_unknown_options": True}
 @click.argument("x")
 @click.argument("y")
 @click.pass_obj
+@_ray_certified()
 def dist(opts, x, y):
     """Certified bracket and witness chain for a pair of points."""
     px, py = _parse_point(x), _parse_point(y)
@@ -232,6 +245,7 @@ def net(opts, epsilon, dimension, samples, verify):
 @click.argument("y")
 @click.option("--levels", type=int, default=4, show_default=True)
 @click.pass_obj
+@_ray_certified()
 def converge(opts, x, y, levels):
     """Refinement table of shortest-path upper bounds."""
     px, py = _parse_point(x), _parse_point(y)
@@ -261,6 +275,7 @@ def converge(opts, x, y, levels):
 @click.option("--horizon", type=int, default=20, show_default=True)
 @click.option("--dimension", "-s", type=int, default=2, show_default=True)
 @click.pass_obj
+@_ray_certified()
 def noneq(opts, delta, horizon, dimension):
     """Non-equivalence experiment between the two compactifications."""
     delta = opts["delta"] if delta is None else delta

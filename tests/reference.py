@@ -5,11 +5,11 @@ kernels: one scalar link cost per pair of a finite space, one sphere
 lookup per norm, the ray of one base point at a time
 and its crossing with one sphere at a time, the distance between one pair
 of rays at a time, a sample built one direction
-and one sphere at a time, one bisection per point for the ray base, a
-binary-heap Dijkstra per source, one shortest-path solve per
-epsilon-net sample, a whole-cube grid for the 3-D sphere net and a
-brute-force nearest-center search.  They
-exist only so the tests can hold the kernels to them.
+and one sphere at a time, one bisection per point for the ray base and
+one bisection of all points at once, a binary-heap Dijkstra per source,
+one shortest-path solve per epsilon-net sample, a whole-cube grid for the
+3-D sphere net and a brute-force nearest-center search.  They exist only
+so the tests can hold the kernels to them.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from chainmetric.core import delta
 from chainmetric.finite import FiniteSpace
-from chainmetric.rays import ConeParam, Ray, _field_direction, ray_bases
+from chainmetric.rays import _RESIDUAL_TOL, ConeParam, Ray, _field_direction, ray_bases
 from chainmetric.sampler import NodeSet, SamplerConfig, _dedupe, _net_directions, euclid_context
 from chainmetric.std_map import M_MAX_DEFAULT, TAU, _radii_upto, harmonic_radius, sphere_bracket
 
@@ -188,6 +188,66 @@ def ray_through_reference(y, cone: ConeParam, max_iter: int = 200):
             break
     ray = ray_of_reference(base_at(0.5 * (lo + hi)), cone)
     return ray, _point_to_ray_distance(y, ray)
+
+
+def ray_bases_reference(Y, cone: ConeParam) -> np.ndarray:
+    """Base points of the unique rays of the field through the rows of ``Y``.
+
+    Bisects the base polar angle of every row at once, each inside its own
+    (axis, w_hat) half-plane.  Raises for a point inside the unit ball, and
+    for a residual distance above ``_RESIDUAL_TOL`` between a point and its
+    ray, since uniqueness of the ray is an assumption the construction relies
+    on and silent failure would mask its violation.
+    """
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    norms = np.linalg.norm(Y, axis=1)
+    inside = norms < 1.0 - 1e-12
+    if np.any(inside):
+        ny = float(norms[np.argmax(inside)])
+        raise ValueError(f"point with norm {ny} is inside the unit ball")
+    W = Y.copy()
+    W[:, 0] = 0.0
+    q = np.linalg.norm(W, axis=1)
+    p = Y[:, 0]
+    bases = np.zeros_like(Y)
+    # Near the axis the half-plane is undefined; the axis rays pass there.
+    axial = q < 1e-12
+    bases[axial, 0] = np.where(p[axial] > 0, 1.0, -1.0)
+    rows = ~axial
+    if not np.any(rows):
+        return bases
+    p, q = p[rows], q[rows]
+    w_hat = W[rows] / q[:, None]
+
+    # The 2-D cross product of the ray direction with (y - base) is positive
+    # while the ray passes below y and negative above; it brackets on
+    # [0, pi] always: offset(0) = q > 0, offset(pi) = -q < 0.
+    lo = np.zeros(len(p))
+    hi = np.full(len(p), np.pi)
+    while np.max(hi - lo) >= 1e-15:
+        mid = 0.5 * (lo + hi)
+        dx, dy = _field_direction(mid, cone.delta)
+        below = dx * (q - np.sin(mid)) - dy * (p - np.cos(mid)) > 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    beta = 0.5 * (lo + hi)
+    cb, sb = np.cos(beta), np.sin(beta)
+
+    dx, dy = _field_direction(beta, cone.delta)
+    vx, vy = p - cb, q - sb
+    t = np.maximum(0.0, vx * dx + vy * dy)
+    residual = np.hypot(vx - t * dx, vy - t * dy)
+    bad = residual > _RESIDUAL_TOL
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise RuntimeError(
+            f"ray search failed to converge: residual {residual[k]} "
+            f"at point {Y[rows][k]}"
+        )
+    sub = sb[:, None] * w_hat
+    sub[:, 0] = cb
+    bases[rows] = sub
+    return bases
 
 
 def dijkstra_reference(W: np.ndarray, source: int):

@@ -14,7 +14,7 @@ from chainmetric.cli import MAX_NET_SAMPLES, main
 from chainmetric.core import certificate, delta as link_cost, lower_bound_certificate
 from chainmetric.finite import FiniteSpace, link_table
 from chainmetric.sampler import euclid_context
-from chainmetric.rays import ConeParam
+from chainmetric.rays import ConeParam, ray_through
 from chainmetric.std_map import M_MAX_DEFAULT, EpsilonNet, _ball_net, harmonic_radius, net_index
 from conftest import random_finite_space
 from reference import (dijkstra_reference, link_table_reference, net_solver_reference,
@@ -446,6 +446,32 @@ class TestNoneq:
             assert json.loads("\n".join(result.output.splitlines()[6:]))["delta"] == delta
         result = invoke(runner, ["--delta", "0.3", "noneq", "--delta", "0.5", "--horizon", "5"])
         assert json.loads("\n".join(result.output.splitlines()[6:]))["delta"] == 0.5
+
+
+class TestRayInversionFailure:
+    """A point farther than the residual tolerance from the ray found through
+    it is a certificate violation; a point inside the unit ball is bad input."""
+
+    @pytest.mark.parametrize("args", [["dist", "2,1", "0,3"],
+                                      ["converge", "--levels", "1", "2,1", "0,3"],
+                                      ["noneq", "--horizon", "5"]])
+    def test_residual_failure_is_certificate_violation(self, runner, monkeypatch, args):
+        monkeypatch.setattr("chainmetric.rays._RESIDUAL_TOL", -1.0)
+        result = runner.invoke(main, ["--weight", "ray_psi"] + args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "certificate violation: ray search failed to converge" in result.output
+        assert "Traceback" not in result.output
+
+    def test_point_inside_ball_is_usage_error(self, runner, monkeypatch):
+        def shrunk(y, cone):
+            return ray_through(0.5 * y / np.linalg.norm(y), cone)
+
+        monkeypatch.setattr("chainmetric.sampler.ray_through", shrunk)
+        result = runner.invoke(main, ["--weight", "ray_psi", "dist", "2,1", "0,3"])
+        assert result.exit_code == 2
+        assert "inside the unit ball" in result.output
+        assert "certificate violation" not in result.output
 
 
 class TestBoundary:

@@ -42,6 +42,7 @@ from reference import (
     net_solver_reference,
     ray_crossing_reference,
     ray_distance_reference,
+    ray_bases_reference,
     ray_of_reference,
     ray_through_reference,
     sphere_index_reference,
@@ -106,6 +107,53 @@ class TestPairwiseDistances:
         assert np.array_equal(pairwise_distances(P), expected)
 
 
+open_deltas = st.floats(0.0, np.pi / 4.0, exclude_min=True, exclude_max=True)
+inversion_deltas = st.one_of(st.sampled_from([0.05, 0.78]), open_deltas)
+# The largest sphere radius, a_{10^6}, about 14.39.
+A_MAX = harmonic_radius(10**6)
+
+
+@st.composite
+def exterior_rows(draw, dim, delta, kind=None):
+    """Points for the ray-field inversion, shape (n, dim), built as (p, q) in
+    an (axis, w_hat) half-plane, in the near (p > 0) or far (p < 0) cone or
+    between, at norms from exactly 1 to a_{10^6}: in a cone, on the axis, at
+    q = sin(delta) or one float either side, bent, near the axial cut-off
+    q = 1e-12, and on a sphere's TAU band, divided by min(|y|, 1) as
+    psi_matrix does.  ``kind`` fixes the kind of every row."""
+    rng = np.random.default_rng(draw(seeds))
+    sin_delta = np.sin(delta)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = kind or draw(st.sampled_from(["cone", "axial", "edge", "bent", "near-axis", "tau"]))
+        r = draw(st.one_of(st.just(1.0), st.floats(1.0, A_MAX)))
+        if k == "tau":
+            m = draw(st.one_of(st.just(1), st.integers(1, 10**6)))
+            r = harmonic_radius(m) * (1.0 + TAU * draw(st.floats(-1.0, 1.0)))
+        if k == "cone":
+            q = draw(st.floats(0.0, sin_delta))
+        elif k == "axial":
+            q = draw(st.sampled_from([0.0, 5e-13, np.nextafter(1e-12, 0.0)]))
+        elif k == "edge":
+            q = np.nextafter(sin_delta, draw(st.sampled_from([-np.inf, sin_delta, np.inf])))
+        elif k == "bent":
+            q = draw(st.floats(sin_delta, r, exclude_min=True))
+        elif k == "near-axis":
+            q = draw(st.sampled_from([1e-12, np.nextafter(1e-12, 1.0), 2e-12]))
+        else:
+            q = draw(st.floats(0.0, r))
+        p = draw(st.sampled_from([1.0, -1.0])) * np.sqrt(max(r * r - q * q, 0.0))
+        if draw(st.booleans()):
+            w = rng.normal(size=dim - 1)
+            w /= np.linalg.norm(w)
+        else:
+            w = np.zeros(dim - 1)
+            w[draw(st.integers(0, dim - 2))] = draw(st.sampled_from([1.0, -1.0]))
+        rows.append(np.concatenate([[p], q * w]))
+    Y = np.array(rows)
+    return Y / np.minimum(np.linalg.norm(Y, axis=1), 1.0)[:, None]
+
+
 class TestRayBases:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(delta=deltas, dim=dims, seed=seeds)
@@ -152,6 +200,28 @@ class TestRayBases:
         with pytest.raises(ValueError):
             ray_bases(np.array([[3.0, 0.0], [0.5, 0.5]]), cone)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), dim=st.integers(2, 5), delta=inversion_deltas)
+    def test_matches_batched_bisection(self, data, dim, delta):
+        cone = ConeParam(delta=delta, dim=dim)
+        Y = data.draw(exterior_rows(dim, delta))
+        assert np.max(np.abs(ray_bases(Y, cone) - ray_bases_reference(Y, cone))) <= 1e-14
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), dim=st.integers(2, 5), delta=inversion_deltas)
+    def test_each_row_bit_equal_to_its_own_call(self, data, dim, delta):
+        """Each row's base is bit-equal to that of the row solved alone, in a
+        batch mixing cone, bent and axial rows: every row stops on its own
+        rule, so no row's last bits depend on the others.  The stacked link
+        matrix, bit-equal slice by slice to unstacked calls, rests on this."""
+        cone = ConeParam(delta=delta, dim=dim)
+        Y = np.vstack([data.draw(exterior_rows(dim, delta, kind))
+                       for kind in ("cone", "bent", "axial", None)])
+        Y = Y[data.draw(st.permutations(range(len(Y))))]
+        B = ray_bases(Y, cone)
+        for i in range(len(Y)):
+            assert B[i].tobytes() == ray_bases(Y[i:i + 1], cone)[0].tobytes()
+
 
 def same_bits(a, b) -> bool:
     """Equal shapes and equal float bits, so 0.0 and -0.0 differ."""
@@ -188,9 +258,6 @@ def field_bases(draw, dim, delta):
             v[draw(st.integers(0, dim - 2))] = draw(st.sampled_from([1.0, -1.0]))
         rows.append(np.concatenate([[np.cos(polar)], np.sin(polar) * v]))
     return np.array(rows)
-
-
-open_deltas = st.floats(0.0, np.pi / 4.0, exclude_min=True, exclude_max=True)
 
 
 class TestRayField:
