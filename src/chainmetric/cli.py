@@ -33,8 +33,7 @@ from .sampler import (
     euclid_context,
     make_net_solver,
 )
-from .std_map import (_row_norms, boundary_map_h_std, boundary_map_k_std, epsilon_net,
-                      net_index)
+from .std_map import _row_norms, boundary_map_h_std, boundary_map_k_std, epsilon_net, net_plan
 
 FMT = "{:.17g}"
 # Rows of the ``net`` and ``rays`` tables computed and written at a time.
@@ -218,11 +217,12 @@ def oracle(opts, matrix_file, anchor):
 @click.pass_obj
 def net(opts, epsilon, dimension, samples, verify):
     """Constructive epsilon-net of the transformed plane, with coverage check."""
-    if not 0.0 < epsilon < 1.0:
-        raise click.UsageError(f"epsilon must be in (0, 1), got {epsilon}")
-    if dimension < 2:
-        raise click.UsageError(f"dimension must be >= 2, got {dimension}")
-    solver = make_net_solver(net_index(epsilon)) if verify else None
+    try:
+        plan = net_plan(epsilon, dimension)
+        plan.check()
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    solver = make_net_solver(plan.k) if verify else None
     result = epsilon_net(
         epsilon, dimension, solver=solver, samples=samples,
         rng=np.random.default_rng(opts["seed"]),
@@ -235,6 +235,11 @@ def net(opts, epsilon, dimension, samples, verify):
             write("".join([row % (i, *c) for i, c in enumerate(block, lo)]))
         if result.verification:
             write(json.dumps(result.verification) + "\n")
+    # The sampled solve cross-checks the certificate's implementation.
+    sampled = result.verification.get("max_min_distance", 0.0)
+    if not sampled <= result.certified_radius < epsilon:
+        click.echo("certificate violation", err=True)
+        sys.exit(1)
     if verify and result.verification["covered"] < result.verification["samples"]:
         click.echo("coverage violation", err=True)
         sys.exit(1)

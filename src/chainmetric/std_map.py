@@ -10,6 +10,7 @@ closed unit ball, with the unit sphere as boundary at infinity.
 """
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -216,20 +217,147 @@ def boundary_map_k_std(rep: BoundaryRepStd) -> np.ndarray:
     return rep.point
 
 
+# Share of the certificate's slack, epsilon less the beyond-the-ball chain's
+# three fixed terms, that the sphere net's covering radius R spends.  The
+# remaining 5% keeps the certified radius below epsilon by far more than
+# any rounding; the net has about a third of the sphere centres that a
+# spacing of epsilon/4 gives.
+SPHERE_SHARE = 0.95
+# The most centres an epsilon net may hold, as ``net_plan`` estimates them,
+# and the most grid rows one slab of its sphere sweep may hold.  4-D builds
+# cost the most per centre (about four projected points each): the 4-D
+# epsilon = 0.9 net, estimated at 1.66 M and built with 1.26 M centres,
+# peaked at 335 MB RSS, so a net at the cap peaks near 0.4 GB, the scale of
+# ``net``'s sample cap.  The 4-D epsilon = 0.95 net is estimated at 1.21 M.
+MAX_NET_POINTS = 2 * 10**6
+
+
+def _up(x: float) -> float:
+    """The next float above ``x``: one step of outward rounding."""
+    return math.nextafter(x, math.inf)
+
+
 def net_index(epsilon: float) -> int:
-    """Smallest k with 1/(1+k) < eps/4 and 1/(1+a_k) < eps/4."""
+    """Smallest k with 1/(1+k) < eps/4 and 1/(1+a_k) < eps/4; a ValueError
+    when that k lies beyond the sphere index cap M_MAX_DEFAULT."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     quarter = epsilon / 4.0
-    k = 1
-    while 1.0 / (1.0 + k) >= quarter or 1.0 / (1.0 + harmonic_radius(k)) >= quarter:
-        k += 1
+    radii = _radii_reaching(1.0 / quarter + 1.0)  # 1/(1+a_L) < quarter
+    # a_k <= k, so the second condition implies the first.
+    k = int(np.argmax(1.0 / (1.0 + radii) < quarter)) + 1
+    if not 1.0 / (1.0 + radii[k - 1]) < quarter:
+        raise ValueError(f"epsilon {epsilon} needs a sphere index beyond the cap {M_MAX_DEFAULT}")
     return k
 
 
-def _sphere_net(radius: float, spacing: float, s: int) -> np.ndarray:
-    """Euclidean ``spacing``-net of the sphere of the given radius.
+def _circle_count(radius: float, spacing: float) -> int:
+    """Points of the 2-D sphere net: the fewest equal steps round the circle
+    whose chord is at most ``spacing``."""
+    step = 2.0 * np.arcsin(min(1.0, spacing / (2.0 * radius)))
+    return int(np.ceil(2.0 * np.pi / step))
 
+
+def sphere_net_radius(radius: float, spacing: float, s: int) -> float:
+    """Guaranteed Euclidean covering radius R of ``_sphere_net(radius,
+    spacing, s)``: every point of the sphere lies within R of a centre.
+
+    In 2-D it is the chord of half the step actually used, 2 radius
+    sin(step/4); for s >= 3 it is spacing (1/2 + sqrt(s)/4), as derived in
+    ``_sphere_net``.  It is widened by 1e-12 of the radius, far more than
+    the few ulps of the radius by which the centres' coordinates and this
+    formula can be off, and rounded up.
+    """
+    if s == 2:
+        R = 2.0 * radius * math.sin(math.pi / (2 * _circle_count(radius, spacing)))
+    else:
+        R = spacing * (0.5 + math.sqrt(s) / 4.0)
+    return _up(R + 1e-12 * radius)
+
+
+@dataclass(frozen=True)
+class NetPlan:
+    """An epsilon net as ``net_plan`` sizes it, before anything is built:
+    its sphere index k, the spacing of its sphere-k net, its certified
+    covering radius, and its estimated centres and sphere-sweep slab rows
+    (0 in 2-D)."""
+
+    k: int
+    spacing: float
+    certified_radius: float
+    centres: int
+    slab_rows: int
+
+    def check(self) -> None:
+        """Raise ValueError when the net is too large to build."""
+        if max(self.centres, self.slab_rows) > MAX_NET_POINTS:
+            raise ValueError(f"epsilon net of about {self.centres:.3g} centres and "
+                             f"{self.slab_rows:.3g} grid rows a slab exceeds the cap of "
+                             f"{MAX_NET_POINTS:.3g}")
+
+
+def net_plan(epsilon: float, s: int) -> NetPlan:
+    """Size ``epsilon_net(epsilon, s)`` from epsilon and s alone.
+
+    The certified radius bounds the transformed distance from every point of
+    R^s to the nearest centre.  It is the larger of two bounds, each term
+    rounded outward:
+
+    - inside the ball of radius a_{k+1}, the ball net's eps/2, its half cell
+      diagonal;
+    - beyond it, for a_m <= |x| < a_{m+1} with m >= k+1, the link costs of
+      the chain x -> a_m u -> a_k u -> the nearest sphere centre: at most
+      |x| - a_m < 1/(k+2), then 1/(1+a_m) + 1/(1+a_k) (an identified pair,
+      weight 0) <= 1/(1+a_{k+1}) + 1/(1+a_k), then d_E <= R, with R =
+      ``sphere_net_radius``.
+
+    The sphere spacing is the coarsest at which R spends ``SPHERE_SHARE``
+    of what the chain's other three terms leave of epsilon.
+
+    The ball net's estimated centres are its whole grid cube, which it
+    builds.  The sphere net's are the circle's point count in 2-D; for
+    s >= 3 they are the mean number of spacing/4 dedupe cells that a sphere
+    of its area crosses, area * s * E|u_1| / (spacing/4)^(s-1) for a uniform
+    unit vector u, as each cell keeps at most one centre.  Grid sizes are
+    len(np.arange(...)), computed without building the axis.
+    """
+    k = net_index(epsilon)
+    if s < 2:
+        raise ValueError(f"dimension must be >= 2, got {s}")
+    ak, ak1 = harmonic_radius(k), harmonic_radius(k + 1)
+    chain = _up(1.0 / (k + 2))
+    for a in (ak1, ak):
+        chain = _up(chain + _up(1.0 / math.nextafter(1.0 + a, 0.0)))
+    target = SPHERE_SHARE * (epsilon - chain)
+    # Sizes are taken as logs, clipped where they are far past any cap.
+    size = lambda log: round(math.exp(min(log, 100.0)))
+    g = epsilon / math.sqrt(s)
+    centres = size(s * math.log(math.ceil((2.0 * ak1 + g) / g)))
+    rows = 0
+    if s == 2:
+        # _sphere_net steps by the angle whose chord is the spacing, and a
+        # step of 4 arcsin(target / 2a_k) makes R = 2 a_k sin(step/4) = target.
+        spacing = 2.0 * ak * math.sin(2.0 * math.asin(target / (2.0 * ak)))
+        centres += _circle_count(ak, spacing)
+    else:
+        spacing = target / (0.5 + math.sqrt(s) / 4.0)
+        g = spacing / (2.0 * math.sqrt(s))
+        rows = size((s - 1) * math.log(math.ceil((2.0 * ak + 3.0 * g) / g)))
+        # area * s * E|u_1|, with area s pi^(s/2) / Gamma(s/2 + 1) ak^(s-1)
+        # and E|u_1| = Gamma(s/2) / (sqrt(pi) Gamma((s+1)/2)).
+        centres += size(2 * math.log(s) + (s - 1) / 2 * math.log(math.pi)
+                        - math.lgamma(s / 2 + 1) + math.lgamma(s / 2) - math.lgamma((s + 1) / 2)
+                        + (s - 1) * math.log(4.0 * ak / spacing))
+    radius = max(_up(epsilon / 2.0), _up(chain + sphere_net_radius(ak, spacing, s)))
+    return NetPlan(k=k, spacing=spacing, certified_radius=radius, centres=centres,
+                   slab_rows=rows)
+
+
+def _sphere_net(radius: float, spacing: float, s: int) -> np.ndarray:
+    """Centres within ``sphere_net_radius(radius, spacing, s)`` of every
+    point of the sphere of the given radius.
+
+    In 2-D they are the ``_circle_count`` evenly spaced points of the circle.
     For s >= 3 this is the grid-projection net: the points of an axis grid of
     cell diagonal spacing/2 whose norm is within spacing/2 of the radius,
     projected radially onto the sphere in row-major grid order, keeping the
@@ -242,13 +370,15 @@ def _sphere_net(radius: float, spacing: float, s: int) -> np.ndarray:
     ``tests/reference.py:sphere_net_reference`` builds from the whole cube.
     """
     if s == 2:
-        step = 2.0 * np.arcsin(min(1.0, spacing / (2.0 * radius)))
-        count = int(np.ceil(2.0 * np.pi / step))
+        count = _circle_count(radius, spacing)
         angles = np.arange(count) * (2.0 * np.pi / count)
         return radius * np.column_stack([np.cos(angles), np.sin(angles)])
-    # An axis grid of cell diagonal <= spacing/2 has a point within spacing/2
-    # of every sphere point; projecting that grid point to the sphere moves it
-    # by at most another spacing/2.
+    # Covering radius spacing (1/2 + sqrt(s)/4): a sphere point lies within
+    # half a grid cell diagonal, spacing/4, of a grid point, which is then in
+    # the shell; projecting that grid point onto the sphere moves it at most
+    # spacing/4 again; and the point kept in its spacing/4 cell lies within
+    # that cell's diagonal, spacing sqrt(s)/4, of it.  From s = 5 on the
+    # bound exceeds spacing.
     g = spacing / (2.0 * np.sqrt(s))
     half = spacing / 2.0
     axis = np.arange(-radius - g, radius + 2 * g, g)
@@ -304,12 +434,14 @@ def _ball_net(radius: float, spacing: float, s: int) -> np.ndarray:
 
 @dataclass
 class EpsilonNet:
-    """Finite center set whose transformed-metric eps-balls cover all of R^s."""
+    """Finite center set whose transformed-metric eps-balls cover all of R^s:
+    every point lies within ``certified_radius`` of a center."""
 
     epsilon: float
     k: int
     centers: np.ndarray
     sphere_center_count: int
+    certified_radius: float
     verification: dict = field(default_factory=dict)
 
 
@@ -322,19 +454,19 @@ def epsilon_net(
 ) -> EpsilonNet:
     """Constructive total-boundedness: a finite eps-cover of (R^s, transformed).
 
-    Centers are a Euclidean (eps/4)-net of the identification sphere k union
-    a Euclidean eps-net of the ball of radius a_{k+1}; Euclidean nets suffice
-    because the transform never exceeds d_E.  Points beyond the ball reach a
-    sphere-net center through the projection / identification chain of cost
-    < eps, which ``solver(X, centers) -> upper bounds`` certifies
-    numerically, when provided, for ``samples`` points at once, drawn with
-    uniform norm up to a_200 and uniform direction.
+    Centers are a net of the identification sphere k at the spacing that
+    ``net_plan`` chooses, union a Euclidean eps-net of the ball of radius
+    a_{k+1}; Euclidean nets suffice because the transform never exceeds
+    d_E.  Every point of R^s lies within the plan's certified radius of a
+    center.  ``solver(X, centers) -> upper bounds``, when provided,
+    cross-checks the certificate's implementation for ``samples`` points at
+    once, drawn with uniform norm up to a_200 and uniform direction.  A net
+    too large to build is a ValueError, raised before anything is built.
     """
-    if s < 2:
-        raise ValueError(f"dimension must be >= 2, got {s}")
-    k = net_index(epsilon)
-    ak = harmonic_radius(k)
-    sphere_centers = _sphere_net(ak, epsilon / 4.0, s)
+    plan = net_plan(epsilon, s)
+    plan.check()
+    k = plan.k
+    sphere_centers = _sphere_net(harmonic_radius(k), plan.spacing, s)
     ball_centers = _ball_net(harmonic_radius(k + 1), epsilon, s)
     centers = np.vstack([sphere_centers, ball_centers])
     net = EpsilonNet(
@@ -342,6 +474,7 @@ def epsilon_net(
         k=k,
         centers=centers,
         sphere_center_count=len(sphere_centers),
+        certified_radius=plan.certified_radius,
     )
     if solver is not None:
         rng = rng or np.random.default_rng(0)
@@ -356,5 +489,6 @@ def epsilon_net(
             "samples": int(samples),
             "max_min_distance": float(np.max(bounds, initial=0.0)),
             "covered": int(np.count_nonzero(bounds < epsilon)),
+            "certified_radius": net.certified_radius,
         }
     return net

@@ -305,7 +305,7 @@ def net_solver_reference(k: int):
 
 
 def sphere_net_reference(radius: float, spacing: float, s: int) -> np.ndarray:
-    """``spacing``-net of the sphere: evenly spaced points of the circle in
+    """The sphere net at ``spacing``: evenly spaced points of the circle in
     the plane; for s >= 3 the grid-projection net, built from the whole
     ``(2 radius / g)^s`` grid cube at once."""
     if s == 2:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import shlex
@@ -15,7 +16,7 @@ from chainmetric.core import certificate, delta as link_cost, lower_bound_certif
 from chainmetric.finite import FiniteSpace, link_table
 from chainmetric.sampler import euclid_context
 from chainmetric.rays import ConeParam, ray_through
-from chainmetric.std_map import M_MAX_DEFAULT, EpsilonNet, _ball_net, harmonic_radius, net_index
+from chainmetric.std_map import M_MAX_DEFAULT, EpsilonNet, _ball_net, harmonic_radius, net_plan
 from conftest import random_finite_space
 from reference import (dijkstra_reference, link_table_reference, net_solver_reference,
                        ray_distance_reference, ray_of_reference, sphere_net_reference)
@@ -251,10 +252,12 @@ def expected_oracle_stdout(space):
 
 
 def expected_net_stdout(epsilon, dim, samples, seed):
-    """``net`` stdout rebuilt from the reference sphere net, the ball net and
-    the per-sample reference solver."""
-    k = net_index(epsilon)
-    centers = np.vstack([sphere_net_reference(harmonic_radius(k), epsilon / 4.0, dim),
+    """``net`` stdout rebuilt from the reference sphere net at the net's
+    spacing, the ball net, the per-sample reference solver and the
+    certificate."""
+    plan = net_plan(epsilon, dim)
+    k = plan.k
+    centers = np.vstack([sphere_net_reference(harmonic_radius(k), plan.spacing, dim),
                          _ball_net(harmonic_radius(k + 1), epsilon, dim)])
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(samples, dim))
@@ -268,6 +271,7 @@ def expected_net_stdout(epsilon, dim, samples, seed):
     lines.append(json.dumps({
         "epsilon": epsilon, "k": k, "center_count": len(centers), "samples": samples,
         "max_min_distance": max(bounds), "covered": sum(b < epsilon for b in bounds),
+        "certified_radius": plan.certified_radius,
     }))
     return "\n".join(lines) + "\n"
 
@@ -323,6 +327,40 @@ class TestNet:
         assert lines[0].startswith("# epsilon-net k=12 ")
         verification = json.loads(lines[-1])
         assert verification["covered"] == verification["samples"] == 200
+        assert verification["max_min_distance"] <= verification["certified_radius"] < 0.99
+
+    # The 5-D net would need a (504,)*4 grid for one slab of its sphere
+    # sweep (481 GiB), and epsilon = 0.2 a sphere index past 10^6.
+    @pytest.mark.parametrize("args, message", [
+        (["--epsilon", "0.5", "-s", "5"], "exceeds the cap"),
+        (["--epsilon", "0.9", "-s", "1000000000"], "exceeds the cap"),
+        (["--epsilon", "0.2"], "sphere index beyond the cap"),
+    ])
+    def test_oversized_net_is_usage_error(self, runner, args, message):
+        result = invoke(runner, ["net", *args, "--samples", "10"])
+        assert result.exit_code == 2
+        assert message in result.output
+
+    def test_readme_4d_net_is_accepted(self):
+        net_plan(0.95, 4).check()
+
+    @pytest.mark.parametrize("verify", ["--verify", "--no-verify"])
+    def test_certificate_at_epsilon_is_violation(self, runner, monkeypatch, verify):
+        # Spending more than the whole slack on the sphere net's covering
+        # radius lifts the certificate above epsilon.
+        monkeypatch.setattr("chainmetric.std_map.SPHERE_SHARE", 1.2)
+        result = invoke(runner, ["net", "--epsilon", "0.9", "--samples", "20", verify])
+        assert result.exit_code == 1
+        assert "certificate violation" in result.output
+
+    def test_sample_beyond_the_certificate_is_violation(self, runner, monkeypatch):
+        monkeypatch.setattr("chainmetric.std_map.net_plan", lambda epsilon, s: dataclasses.replace(
+            net_plan(epsilon, s), certified_radius=0.1))
+        args = ["net", "--epsilon", "0.9", "--samples", "20"]
+        result = invoke(runner, args)
+        assert result.exit_code == 1
+        assert "certificate violation" in result.output
+        assert invoke(runner, args + ["--no-verify"]).exit_code == 0
 
     def test_bad_epsilon_is_usage_error(self, runner):
         result = invoke(runner, ["net", "--epsilon", "2.0"])
@@ -347,7 +385,7 @@ class TestNet:
         def no_net(epsilon, s, solver=None, samples=0, rng=None):
             asked.append(samples)  # a stand-in: nothing is drawn or allocated
             return EpsilonNet(epsilon=epsilon, k=1, centers=np.zeros((0, s)),
-                              sphere_center_count=0)
+                              sphere_center_count=0, certified_radius=0.0)
 
         monkeypatch.setattr("chainmetric.cli.epsilon_net", no_net)
         args = ["net", "--epsilon", "0.9", "--no-verify", "--samples"]

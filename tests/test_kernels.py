@@ -29,6 +29,7 @@ from chainmetric.std_map import (
     epsilon_net,
     harmonic_radius,
     net_index,
+    net_plan,
     pairwise_distances,
     sphere_index,
 )
@@ -580,10 +581,9 @@ def net_samples(draw, dim, k, centers):
 
 
 class TestStackedNetSolver:
-    # No 3-D net at 0.8: its 94k centers make the per-sample reference slow.
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(data=st.data(), net=st.sampled_from([(2, 0.99), (2, 0.9), (2, 0.8),
-                                                (3, 0.99), (3, 0.9)]))
+                                                (3, 0.99), (3, 0.9), (3, 0.8)]))
     def test_bit_equal_to_per_sample_reference(self, data, net):
         dim, epsilon = net
         centers = cached_net_centers(epsilon, dim)
@@ -740,6 +740,6 @@ class TestSphereNet:
                               sphere_net_reference(radius, spacing, dim))
 
     def test_bit_equal_at_the_net_of_epsilon_099(self):
-        radius = harmonic_radius(12)
-        assert np.array_equal(_sphere_net(radius, 0.99 / 4.0, 3),
-                              sphere_net_reference(radius, 0.99 / 4.0, 3))
+        radius, spacing = harmonic_radius(12), net_plan(0.99, 3).spacing
+        assert np.array_equal(_sphere_net(radius, spacing, 3),
+                              sphere_net_reference(radius, spacing, 3))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainmetric import std_map
+from chainmetric.sampler import _CenterGrid, make_net_solver
 from chainmetric.std_map import (
     BoundaryRepStd,
     boundary_map_h_std,
@@ -10,11 +13,13 @@ from chainmetric.std_map import (
     h_pq_std,
     harmonic_radius,
     net_index,
+    net_plan,
     pairwise_distances,
     phi_std,
     phi_std_matrix,
     sphere_bracket,
     sphere_index,
+    sphere_net_radius,
 )
 
 
@@ -194,11 +199,11 @@ class TestEpsilonNet:
         net = epsilon_net(0.99, 2)
         ak = harmonic_radius(net.k)
         sphere_part = net.centers[: net.sphere_center_count]
-        # every sphere point within eps/4 (Euclidean) of some center
+        # every sphere point within R (Euclidean) of some center
         angles = np.linspace(0.0, 2 * np.pi, 500, endpoint=False)
         probes = ak * np.column_stack([np.cos(angles), np.sin(angles)])
         d = np.linalg.norm(probes[:, None, :] - sphere_part[None, :, :], axis=2)
-        assert d.min(axis=1).max() <= 0.99 / 4.0 + 1e-9
+        assert d.min(axis=1).max() <= sphere_net_radius(ak, net_plan(0.99, 2).spacing, 2)
 
     def test_ball_net_covers(self, rng):
         net = epsilon_net(0.9, 2)
@@ -218,4 +223,66 @@ class TestEpsilonNet:
         probes = rng.normal(size=(300, 3))
         probes = ak * probes / np.linalg.norm(probes, axis=1)[:, None]
         d = np.linalg.norm(probes[:, None, :] - sphere_part[None, :, :], axis=2)
-        assert d.min(axis=1).max() <= 0.99 / 4.0 + 1e-9
+        assert d.min(axis=1).max() <= sphere_net_radius(ak, net_plan(0.99, 3).spacing, 3)
+
+
+def open_floats(lo, hi):
+    return st.floats(lo, hi, exclude_min=True, exclude_max=True)
+
+
+def certificate_probes(net, dim, rng):
+    """Points at which the certificate's bounds are tightest: the directions
+    of the worst-covered points of sphere k (the midpoints between centres
+    in 2-D, the farthest of 1000 random points of the sphere otherwise) on
+    spheres k, k+1 and beyond, and random points inside the ball of radius
+    a_{k+1} and in the shell just beyond it.  Returns them with the sampled
+    sphere-k coverage distance."""
+    k = net.k
+    ak, ak1 = harmonic_radius(k), harmonic_radius(k + 1)
+    sphere = net.centers[:net.sphere_center_count]
+    if dim == 2:
+        angles = (np.arange(len(sphere)) + 0.5) * (2.0 * np.pi / len(sphere))
+        U = np.column_stack([np.cos(angles), np.sin(angles)])
+    else:
+        U = rng.normal(size=(1000, dim))
+        U /= np.linalg.norm(U, axis=1)[:, None]
+    gap = np.linalg.norm(sphere[_CenterGrid(sphere).nearest(ak * U)] - ak * U, axis=1)
+    worst = U[np.argsort(gap)[-8:]]
+    inside = rng.normal(size=(40, dim))
+    inside *= rng.uniform(0.0, ak1, size=(40, 1)) / np.linalg.norm(inside, axis=1)[:, None]
+    shell = rng.normal(size=(40, dim))
+    shell *= rng.uniform(ak1, ak1 + 2.0, size=(40, 1)) / np.linalg.norm(shell, axis=1)[:, None]
+    radii = [ak, ak1] + [harmonic_radius(int(m)) for m in rng.integers(k + 2, 3 * k + 10, size=4)]
+    X = np.vstack([inside, shell] + [a * worst for a in radii])
+    return X, float(gap.max())
+
+
+class TestNetCertificate:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(epsilon=open_floats(0.3, 0.99), dim=st.integers(2, 5))
+    def test_below_epsilon(self, epsilon, dim):
+        assert net_plan(epsilon, dim).certified_radius < epsilon
+
+    # 3-D nets below epsilon = 0.4 hold over 0.7 M centres (below about 0.36
+    # they pass the size cap) and 4-D nets about 1 M, so the nets built here
+    # are drawn from the cheaper ranges; test_below_epsilon covers the rest.
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(case=st.one_of(st.tuples(st.just(2), open_floats(0.3, 0.99)),
+                          st.tuples(st.just(3), open_floats(0.4, 0.99))),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bounds_the_sampled_solver(self, case, seed):
+        self.check(*case, seed)
+
+    @settings(max_examples=2, deadline=None, derandomize=True)
+    @given(epsilon=st.floats(0.9, 0.99, exclude_max=True), seed=st.integers(0, 2**32 - 1))
+    def test_bounds_the_sampled_solver_in_4d(self, epsilon, seed):
+        self.check(4, epsilon, seed)
+
+    @staticmethod
+    def check(dim, epsilon, seed):
+        net, plan = epsilon_net(epsilon, dim), net_plan(epsilon, dim)
+        assert net.certified_radius == plan.certified_radius < epsilon
+        X, gap = certificate_probes(net, dim, np.random.default_rng(seed))
+        R = sphere_net_radius(harmonic_radius(net.k), plan.spacing, dim)
+        assert gap <= R
+        assert make_net_solver(net.k)(X, net.centers).max() <= net.certified_radius
