@@ -220,15 +220,14 @@ def boundary_map_k_std(rep: BoundaryRepStd) -> np.ndarray:
 # Share of the certificate's slack, epsilon less the beyond-the-ball chain's
 # three fixed terms, that the sphere net's covering radius R spends.  The
 # remaining 5% keeps the certified radius below epsilon by far more than
-# any rounding; the net has about a third of the sphere centres that a
-# spacing of epsilon/4 gives.
+# any rounding.
 SPHERE_SHARE = 0.95
-# The most centres an epsilon net may hold, as ``net_plan`` estimates them,
-# and the most grid rows one slab of its sphere sweep may hold.  4-D builds
-# cost the most per centre (about four projected points each): the 4-D
-# epsilon = 0.9 net, estimated at 1.66 M and built with 1.26 M centres,
-# peaked at 335 MB RSS, so a net at the cap peaks near 0.4 GB, the scale of
-# ``net``'s sample cap.  The 4-D epsilon = 0.95 net is estimated at 1.21 M.
+# The most centres an epsilon net may hold, as ``net_plan`` estimates them.
+# Most of the estimate is the ball net's grid cube, counted whole.  Close to
+# the cap, ``net --samples 10`` peaked at 144 MB RSS in 3-D (epsilon = 0.33,
+# estimated at 1.70 M centres, 0.93 M built), 134 MB in 4-D (0.65: 1.40 M,
+# 0.62 M) and 152 MB in 5-D (0.99: 1.55 M, 0.71 M), so a net at the cap
+# peaks near 0.2 GB.
 MAX_NET_POINTS = 2 * 10**6
 
 
@@ -251,49 +250,44 @@ def net_index(epsilon: float) -> int:
     return k
 
 
-def _circle_count(radius: float, spacing: float) -> int:
-    """Points of the 2-D sphere net: the fewest equal steps round the circle
-    whose chord is at most ``spacing``."""
-    step = 2.0 * np.arcsin(min(1.0, spacing / (2.0 * radius)))
-    return int(np.ceil(2.0 * np.pi / step))
+def sphere_net_radius(radius: float, n: int, s: int) -> float:
+    """Guaranteed Euclidean covering radius R of ``_sphere_net(radius, n,
+    s)``: every point of the sphere lies within R of a centre.
 
-
-def sphere_net_radius(radius: float, spacing: float, s: int) -> float:
-    """Guaranteed Euclidean covering radius R of ``_sphere_net(radius,
-    spacing, s)``: every point of the sphere lies within R of a centre.
-
-    In 2-D it is the chord of half the step actually used, 2 radius
-    sin(step/4); for s >= 3 it is spacing (1/2 + sqrt(s)/4), as derived in
-    ``_sphere_net``.  It is widened by 1e-12 of the radius, far more than
-    the few ulps of the radius by which the centres' coordinates and this
-    formula can be off, and rounded up.
+    In 2-D it is the chord of half the step between the n points, 2 radius
+    sin(pi/2n).  For s >= 3 it is radius sqrt(s-1)/n.  A unit vector u
+    meets the surface of the cube [-1, 1]^s at y = u/|u|_inf, on a face
+    whose cell of side 2/n has its centre q within half a cell diagonal,
+    sqrt(s-1)/n, of y.  Both y and q have norm at least 1, and there
+    x -> x/|x| is the metric projection onto the closed unit ball, which is
+    nonexpansive, so |u - q/|q|| <= |y - q|; the sphere of the given radius
+    scales this by the radius.  R is widened by 1e-12 of the radius, far
+    more than the few ulps of the radius by which the centres' coordinates
+    and this formula can be off, and rounded up.
     """
     if s == 2:
-        R = 2.0 * radius * math.sin(math.pi / (2 * _circle_count(radius, spacing)))
+        R = 2.0 * radius * math.sin(math.pi / (2 * n))
     else:
-        R = spacing * (0.5 + math.sqrt(s) / 4.0)
+        R = radius * math.sqrt(s - 1) / n
     return _up(R + 1e-12 * radius)
 
 
 @dataclass(frozen=True)
 class NetPlan:
     """An epsilon net as ``net_plan`` sizes it, before anything is built:
-    its sphere index k, the spacing of its sphere-k net, its certified
-    covering radius, and its estimated centres and sphere-sweep slab rows
-    (0 in 2-D)."""
+    its sphere index k, the size n of its sphere-k net (see ``_sphere_net``),
+    its certified covering radius and its estimated centres."""
 
     k: int
-    spacing: float
+    n: int
     certified_radius: float
     centres: int
-    slab_rows: int
 
     def check(self) -> None:
         """Raise ValueError when the net is too large to build."""
-        if max(self.centres, self.slab_rows) > MAX_NET_POINTS:
-            raise ValueError(f"epsilon net of about {self.centres:.3g} centres and "
-                             f"{self.slab_rows:.3g} grid rows a slab exceeds the cap of "
-                             f"{MAX_NET_POINTS:.3g}")
+        if self.centres > MAX_NET_POINTS:
+            raise ValueError(f"epsilon net of about {self.centres:.3g} centres exceeds the cap "
+                             f"of {MAX_NET_POINTS:.3g}")
 
 
 def net_plan(epsilon: float, s: int) -> NetPlan:
@@ -309,17 +303,19 @@ def net_plan(epsilon: float, s: int) -> NetPlan:
       the chain x -> a_m u -> a_k u -> the nearest sphere centre: at most
       |x| - a_m < 1/(k+2), then 1/(1+a_m) + 1/(1+a_k) (an identified pair,
       weight 0) <= 1/(1+a_{k+1}) + 1/(1+a_k), then d_E <= R, with R =
-      ``sphere_net_radius``.
+      ``sphere_net_radius``: for s >= 3 the cube-face half cell diagonal
+      sqrt(s-1)/n, which the radial projection onto the sphere does not
+      lengthen, times a_k.
 
-    The sphere spacing is the coarsest at which R spends ``SPHERE_SHARE``
-    of what the chain's other three terms leave of epsilon.
+    The sphere net's n is the smallest at which R spends at most
+    ``SPHERE_SHARE`` of what the chain's other three terms leave of
+    epsilon.
 
     The ball net's estimated centres are its whole grid cube, which it
-    builds.  The sphere net's are the circle's point count in 2-D; for
-    s >= 3 they are the mean number of spacing/4 dedupe cells that a sphere
-    of its area crosses, area * s * E|u_1| / (spacing/4)^(s-1) for a uniform
-    unit vector u, as each cell keeps at most one centre.  Grid sizes are
-    len(np.arange(...)), computed without building the axis.
+    builds, of len(np.arange(...)) points a side, computed without building
+    the axis.  The sphere net's are n in 2-D and 2s n^(s-1) for s >= 3.
+    Both are taken as logs, so a huge s costs no more to size than a small
+    one.
     """
     k = net_index(epsilon)
     if s < 2:
@@ -329,99 +325,62 @@ def net_plan(epsilon: float, s: int) -> NetPlan:
     for a in (ak1, ak):
         chain = _up(chain + _up(1.0 / math.nextafter(1.0 + a, 0.0)))
     target = SPHERE_SHARE * (epsilon - chain)
+    # n from the radius formula inverted, then moved the step or two that
+    # outward rounding can take it.
+    if s == 2:
+        n = math.ceil(math.pi / (2.0 * math.asin(target / (2.0 * ak))))
+    else:
+        n = math.ceil(ak * math.sqrt(s - 1) / target)
+    while sphere_net_radius(ak, n, s) > target:
+        n += 1
+    while n > 1 and sphere_net_radius(ak, n - 1, s) <= target:
+        n -= 1
     # Sizes are taken as logs, clipped where they are far past any cap.
     size = lambda log: round(math.exp(min(log, 100.0)))
     g = epsilon / math.sqrt(s)
-    centres = size(s * math.log(math.ceil((2.0 * ak1 + g) / g)))
-    rows = 0
-    if s == 2:
-        # _sphere_net steps by the angle whose chord is the spacing, and a
-        # step of 4 arcsin(target / 2a_k) makes R = 2 a_k sin(step/4) = target.
-        spacing = 2.0 * ak * math.sin(2.0 * math.asin(target / (2.0 * ak)))
-        centres += _circle_count(ak, spacing)
-    else:
-        spacing = target / (0.5 + math.sqrt(s) / 4.0)
-        g = spacing / (2.0 * math.sqrt(s))
-        rows = size((s - 1) * math.log(math.ceil((2.0 * ak + 3.0 * g) / g)))
-        # area * s * E|u_1|, with area s pi^(s/2) / Gamma(s/2 + 1) ak^(s-1)
-        # and E|u_1| = Gamma(s/2) / (sqrt(pi) Gamma((s+1)/2)).
-        centres += size(2 * math.log(s) + (s - 1) / 2 * math.log(math.pi)
-                        - math.lgamma(s / 2 + 1) + math.lgamma(s / 2) - math.lgamma((s + 1) / 2)
-                        + (s - 1) * math.log(4.0 * ak / spacing))
-    radius = max(_up(epsilon / 2.0), _up(chain + sphere_net_radius(ak, spacing, s)))
-    return NetPlan(k=k, spacing=spacing, certified_radius=radius, centres=centres,
-                   slab_rows=rows)
+    sphere = math.log(n) if s == 2 else math.log(2 * s) + (s - 1) * math.log(n)
+    centres = size(s * math.log(math.ceil((2.0 * ak1 + g) / g))) + size(sphere)
+    radius = max(_up(epsilon / 2.0), _up(chain + sphere_net_radius(ak, n, s)))
+    return NetPlan(k=k, n=n, certified_radius=radius, centres=centres)
 
 
-def _sphere_net(radius: float, spacing: float, s: int) -> np.ndarray:
-    """Centres within ``sphere_net_radius(radius, spacing, s)`` of every
-    point of the sphere of the given radius.
+def _sphere_net(radius: float, n: int, s: int) -> np.ndarray:
+    """Centres within ``sphere_net_radius(radius, n, s)`` of every point of
+    the sphere of the given radius.
 
-    In 2-D they are the ``_circle_count`` evenly spaced points of the circle.
-    For s >= 3 this is the grid-projection net: the points of an axis grid of
-    cell diagonal spacing/2 whose norm is within spacing/2 of the radius,
-    projected radially onto the sphere in row-major grid order, keeping the
-    first point of each spacing/4 cell.  The grid is swept one slab of fixed
-    first coordinate at a time, and within a slab only the rows whose squared
-    norm lies in the shell's window, widened by 1e-9 of its outer end, so no
-    row the shell test keeps is skipped.  Each norm sums the squares from
-    first*first onwards, one coordinate at a time, which for s <= 7 is
-    ``np.linalg.norm(grid, axis=1)`` bit for bit; the net is then the one
-    ``tests/reference.py:sphere_net_reference`` builds from the whole cube.
+    In 2-D they are n evenly spaced points of the circle.  For s >= 3 this
+    is the cubed sphere (Ronchi, Iacono and Paolucci, J. Comput. Phys. 124,
+    1996): each of the 2s faces of the cube [-1, 1]^s holds the n^(s-1)
+    cell centres of a uniform grid, at -1 + (2i + 1)/n, and each centre q
+    is scaled radially to radius q/|q|.  A sphere point's radial image on
+    the cube lies within half a cell diagonal, sqrt(s-1)/n, of a centre on
+    its face, and the radial map back to the sphere is nonexpansive off the
+    open unit ball, as ``sphere_net_radius`` shows.  Faces come in axis
+    order, the face at -1 before the face at +1, and each face's centres
+    in row-major order of their other coordinates.  Every face shares one
+    scale: |q|^2 is summed as 1 (the face coordinate) plus the other
+    coordinates' squares in order, so the net is
+    ``tests/reference.py:sphere_net_reference`` bit for bit.  Points of
+    different faces differ in which coordinate is largest in magnitude, so
+    all 2s n^(s-1) are distinct.
     """
     if s == 2:
-        count = _circle_count(radius, spacing)
-        angles = np.arange(count) * (2.0 * np.pi / count)
+        angles = np.arange(n) * (2.0 * np.pi / n)
         return radius * np.column_stack([np.cos(angles), np.sin(angles)])
-    # Covering radius spacing (1/2 + sqrt(s)/4): a sphere point lies within
-    # half a grid cell diagonal, spacing/4, of a grid point, which is then in
-    # the shell; projecting that grid point onto the sphere moves it at most
-    # spacing/4 again; and the point kept in its spacing/4 cell lies within
-    # that cell's diagonal, spacing sqrt(s)/4, of it.  From s = 5 on the
-    # bound exceeds spacing.
-    g = spacing / (2.0 * np.sqrt(s))
-    half = spacing / 2.0
-    axis = np.arange(-radius - g, radius + 2 * g, g)
-    rest = [c.ravel() for c in np.meshgrid(*([axis] * (s - 1)), indexing="ij")]
-    rest_sq = sum(c * c for c in rest)
-    outer = (radius + half) ** 2
-    window = (max(radius - half, 0.0) ** 2 - 1e-9 * outer, outer * (1.0 + 1e-9))
-    # One int64 key per spacing/4 cell: cell coordinates lie in [-span, span].
-    # (2 span + 1)^s < 2^63 whenever one slab of the grid fits in memory, as
-    # the grid has about sqrt(s)/2 (2 span + 1) points per axis.
-    cell = spacing / 4.0
-    span = int(np.ceil(radius / cell)) + 1
-    slabs, keys = [], []
-    for first in axis:
-        f2 = first * first
-        rows = np.flatnonzero((rest_sq >= window[0] - f2) & (rest_sq <= window[1] - f2))
-        sq = f2
-        for c in rest:
-            sq = sq + c[rows] * c[rows]
-        norms = np.sqrt(sq)
-        keep = np.abs(norms - radius) <= half
-        rows, scale = rows[keep], radius / norms[keep]
-        pts = np.empty((len(rows), s))
-        pts[:, 0] = first * scale
-        for j, c in enumerate(rest, 1):
-            pts[:, j] = c[rows] * scale
-        key = np.zeros(len(rows), dtype=np.int64)
-        for j in range(s):
-            key = key * (2 * span + 1) + (np.round(pts[:, j] / cell).astype(np.int64) + span)
-        slabs.append(pts)
-        keys.append(key)
-    # The stable sort behind return_index keeps each cell's first point.
-    first_of_cell = np.sort(np.unique(np.concatenate(keys), return_index=True)[1])
-    del keys
-    net = np.empty((len(first_of_cell), s))
-    lo = done = 0
-    for i, pts in enumerate(slabs):
-        hi = lo + len(pts)
-        take = first_of_cell[done:np.searchsorted(first_of_cell, hi)]
-        net[done:done + len(take)] = pts[take - lo]
-        done += len(take)
-        slabs[i], lo = None, hi
-    return net
+    axis = -1.0 + (2.0 * np.arange(n) + 1.0) / n
+    face = np.stack(np.meshgrid(*([axis] * (s - 1)), indexing="ij"), axis=-1).reshape(-1, s - 1)
+    sq = 1.0
+    for c in face.T:
+        sq = sq + c * c
+    scale = radius / np.sqrt(sq)
+    face *= scale[:, None]
+    net = np.empty((s, 2, len(face), s))
+    for j in range(s):
+        net[j, :, :, :j] = face[:, :j]
+        net[j, :, :, j + 1:] = face[:, j:]
+        net[j, 0, :, j] = -scale
+        net[j, 1, :, j] = scale
+    return net.reshape(-1, s)
 
 
 def _ball_net(radius: float, spacing: float, s: int) -> np.ndarray:
@@ -454,7 +413,7 @@ def epsilon_net(
 ) -> EpsilonNet:
     """Constructive total-boundedness: a finite eps-cover of (R^s, transformed).
 
-    Centers are a net of the identification sphere k at the spacing that
+    Centers are a net of the identification sphere k of the size that
     ``net_plan`` chooses, union a Euclidean eps-net of the ball of radius
     a_{k+1}; Euclidean nets suffice because the transform never exceeds
     d_E.  Every point of R^s lies within the plan's certified radius of a
@@ -466,7 +425,7 @@ def epsilon_net(
     plan = net_plan(epsilon, s)
     plan.check()
     k = plan.k
-    sphere_centers = _sphere_net(harmonic_radius(k), plan.spacing, s)
+    sphere_centers = _sphere_net(harmonic_radius(k), plan.n, s)
     ball_centers = _ball_net(harmonic_radius(k + 1), epsilon, s)
     centers = np.vstack([sphere_centers, ball_centers])
     net = EpsilonNet(

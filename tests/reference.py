@@ -14,6 +14,8 @@ so the tests can hold the kernels to them.
 from __future__ import annotations
 
 import heapq
+import itertools
+import math
 
 import numpy as np
 
@@ -304,23 +306,28 @@ def net_solver_reference(k: int):
     return solve
 
 
-def sphere_net_reference(radius: float, spacing: float, s: int) -> np.ndarray:
-    """The sphere net at ``spacing``: evenly spaced points of the circle in
-    the plane; for s >= 3 the grid-projection net, built from the whole
-    ``(2 radius / g)^s`` grid cube at once."""
+def sphere_net_reference(radius: float, n: int, s: int) -> np.ndarray:
+    """The sphere net of size n, one point at a time: n evenly spaced points
+    of the circle in the plane; for s >= 3 the cubed sphere, face by face
+    (axis j, the face at -1 first) and cell by cell in row-major order.  Each
+    cell centre q, its face coordinate first, is scaled by radius/|q|, with
+    |q|^2 summed one coordinate at a time."""
     if s == 2:
-        step = 2.0 * np.arcsin(min(1.0, spacing / (2.0 * radius)))
-        count = int(np.ceil(2.0 * np.pi / step))
-        angles = np.arange(count) * (2.0 * np.pi / count)
+        angles = np.arange(n) * (2.0 * np.pi / n)
         return radius * np.column_stack([np.cos(angles), np.sin(angles)])
-    g = spacing / (2.0 * np.sqrt(s))
-    axis = np.arange(-radius - g, radius + 2 * g, g)
-    mesh = np.stack(np.meshgrid(*([axis] * s), indexing="ij"), axis=-1).reshape(-1, s)
-    norms = np.linalg.norm(mesh, axis=1)
-    keep = np.abs(norms - radius) <= spacing / 2.0
-    pts = mesh[keep] * (radius / norms[keep])[:, None]
-    cells = np.round(pts / (spacing / 4.0)).astype(int)
-    return pts[np.sort(np.unique(cells, axis=0, return_index=True)[1])]
+    axis = [-1.0 + (2 * i + 1) / n for i in range(n)]
+    rows = []
+    for j in range(s):
+        for sign in (-1.0, 1.0):
+            for others in itertools.product(axis, repeat=s - 1):
+                sq = 0.0
+                for v in (sign, *others):
+                    sq += v * v
+                scale = radius / math.sqrt(sq)
+                point = [v * scale for v in others]
+                point.insert(j, sign * scale)
+                rows.append(point)
+    return np.array(rows)
 
 
 def nearest_center_reference(points, centers) -> np.ndarray:

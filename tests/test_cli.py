@@ -252,12 +252,12 @@ def expected_oracle_stdout(space):
 
 
 def expected_net_stdout(epsilon, dim, samples, seed):
-    """``net`` stdout rebuilt from the reference sphere net at the net's
-    spacing, the ball net, the per-sample reference solver and the
+    """``net`` stdout rebuilt from the reference sphere net of the planned
+    size, the ball net, the per-sample reference solver and the
     certificate."""
     plan = net_plan(epsilon, dim)
     k = plan.k
-    centers = np.vstack([sphere_net_reference(harmonic_radius(k), plan.spacing, dim),
+    centers = np.vstack([sphere_net_reference(harmonic_radius(k), plan.n, dim),
                          _ball_net(harmonic_radius(k + 1), epsilon, dim)])
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(samples, dim))
@@ -329,8 +329,9 @@ class TestNet:
         assert verification["covered"] == verification["samples"] == 200
         assert verification["max_min_distance"] <= verification["certified_radius"] < 0.99
 
-    # The 5-D net would need a (504,)*4 grid for one slab of its sphere
-    # sweep (481 GiB), and epsilon = 0.2 a sphere index past 10^6.
+    # The 5-D net is estimated at 1.2e9 centres (a 64^5 ball grid cube and
+    # 1.3e8 sphere centres), the net at s = 10^9 at e^100 as its size logs
+    # are clipped, and epsilon = 0.2 needs a sphere index past 10^6.
     @pytest.mark.parametrize("args, message", [
         (["--epsilon", "0.5", "-s", "5"], "exceeds the cap"),
         (["--epsilon", "0.9", "-s", "1000000000"], "exceeds the cap"),

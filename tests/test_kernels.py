@@ -7,7 +7,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainmetric.core import AXIOM_TOL, delta as link_cost
@@ -631,7 +631,7 @@ def center_sets(draw):
         C = rng.normal(size=(draw(st.integers(2, 400)), dim)) * 10.0 ** draw(st.integers(-2, 2))
     elif kind == "net":
         radius = harmonic_radius(draw(st.integers(2, 12)))
-        C = np.vstack([_sphere_net(radius, radius * (0.6 if dim < 4 else 1.2), dim),
+        C = np.vstack([_sphere_net(radius, 3, dim),
                        rng.integers(-3, 4, size=(30, dim)) * (radius / 3.0)])
     elif kind == "one":
         C = rng.normal(size=(1, dim))
@@ -723,23 +723,20 @@ class TestNearestCenter:
 
 class TestSphereNet:
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(data=st.data(), dim=st.sampled_from([3, 4, 5]), wide=st.booleans())
-    def test_bit_equal_to_whole_cube(self, data, dim, wide):
-        if dim == 3:
-            radius = data.draw(st.floats(1.0, 3.0))
-            spacing = data.draw(st.floats(0.25, 1.0))
-        elif dim == 4:
-            radius = data.draw(st.floats(1.0, 1.5))
-            spacing = data.draw(st.floats(0.6, 1.2))
-        else:  # a small sphere at coarse spacing keeps the 5-D cube small
-            radius = data.draw(st.floats(0.5, 0.8))
-            spacing = data.draw(st.floats(1.0, 1.5))
-        if wide:  # spacing at least the radius, short of the diameter
-            spacing = radius * data.draw(st.floats(1.0, 1.9))
-        assert np.array_equal(_sphere_net(radius, spacing, dim),
-                              sphere_net_reference(radius, spacing, dim))
+    @given(case=st.one_of(st.tuples(st.just(3), st.integers(1, 20)),
+                          st.tuples(st.just(4), st.integers(1, 10)),
+                          st.tuples(st.just(5), st.integers(1, 6))),
+           radius=st.floats(0.5, 15.0))
+    @example(case=(3, 1), radius=1.0)
+    @example(case=(5, 1), radius=2.5)
+    def test_bit_equal_to_the_point_loop(self, case, radius):
+        dim, n = case
+        net = _sphere_net(radius, n, dim)
+        assert np.array_equal(net, sphere_net_reference(radius, n, dim))
+        assert len(net) == 2 * dim * n ** (dim - 1)
+        assert len(np.unique(net, axis=0)) == len(net)
+        assert np.abs(np.linalg.norm(net, axis=1) - radius).max() <= 1e-12 * radius
 
     def test_bit_equal_at_the_net_of_epsilon_099(self):
-        radius, spacing = harmonic_radius(12), net_plan(0.99, 3).spacing
-        assert np.array_equal(_sphere_net(radius, spacing, 3),
-                              sphere_net_reference(radius, spacing, 3))
+        radius, n = harmonic_radius(12), net_plan(0.99, 3).n
+        assert np.array_equal(_sphere_net(radius, n, 3), sphere_net_reference(radius, n, 3))

@@ -203,7 +203,7 @@ class TestEpsilonNet:
         angles = np.linspace(0.0, 2 * np.pi, 500, endpoint=False)
         probes = ak * np.column_stack([np.cos(angles), np.sin(angles)])
         d = np.linalg.norm(probes[:, None, :] - sphere_part[None, :, :], axis=2)
-        assert d.min(axis=1).max() <= sphere_net_radius(ak, net_plan(0.99, 2).spacing, 2)
+        assert d.min(axis=1).max() <= sphere_net_radius(ak, net_plan(0.99, 2).n, 2)
 
     def test_ball_net_covers(self, rng):
         net = epsilon_net(0.9, 2)
@@ -223,20 +223,22 @@ class TestEpsilonNet:
         probes = rng.normal(size=(300, 3))
         probes = ak * probes / np.linalg.norm(probes, axis=1)[:, None]
         d = np.linalg.norm(probes[:, None, :] - sphere_part[None, :, :], axis=2)
-        assert d.min(axis=1).max() <= sphere_net_radius(ak, net_plan(0.99, 3).spacing, 3)
+        assert d.min(axis=1).max() <= sphere_net_radius(ak, net_plan(0.99, 3).n, 3)
 
 
 def open_floats(lo, hi):
     return st.floats(lo, hi, exclude_min=True, exclude_max=True)
 
 
-def certificate_probes(net, dim, rng):
+def certificate_probes(net, n, dim, rng):
     """Points at which the certificate's bounds are tightest: the directions
-    of the worst-covered points of sphere k (the midpoints between centres
-    in 2-D, the farthest of 1000 random points of the sphere otherwise) on
-    spheres k, k+1 and beyond, and random points inside the ball of radius
-    a_{k+1} and in the shell just beyond it.  Returns them with the sampled
-    sphere-k coverage distance."""
+    of the worst-covered points of sphere k on spheres k, k+1 and beyond,
+    and random points inside the ball of radius a_{k+1} and in the shell
+    just beyond it.  The worst-covered points are taken among the midpoints
+    between centres in 2-D and, for s >= 3, among the radial images of the
+    corners of every face cell of the cube (cube edges and vertices
+    included), where the sphere net's covering bound is tightest.  Returns
+    the probes with the largest sphere-k coverage distance found."""
     k = net.k
     ak, ak1 = harmonic_radius(k), harmonic_radius(k + 1)
     sphere = net.centers[:net.sphere_center_count]
@@ -244,7 +246,10 @@ def certificate_probes(net, dim, rng):
         angles = (np.arange(len(sphere)) + 0.5) * (2.0 * np.pi / len(sphere))
         U = np.column_stack([np.cos(angles), np.sin(angles)])
     else:
-        U = rng.normal(size=(1000, dim))
+        axis = -1.0 + 2.0 * np.arange(n + 1) / n
+        face = np.stack(np.meshgrid(*[axis] * (dim - 1), indexing="ij"), axis=-1)
+        face = face.reshape(-1, dim - 1)
+        U = np.vstack([np.insert(face, j, sign, axis=1) for j in range(dim) for sign in (-1.0, 1.0)])
         U /= np.linalg.norm(U, axis=1)[:, None]
     gap = np.linalg.norm(sphere[_CenterGrid(sphere).nearest(ak * U)] - ak * U, axis=1)
     worst = U[np.argsort(gap)[-8:]]
@@ -263,18 +268,20 @@ class TestNetCertificate:
     def test_below_epsilon(self, epsilon, dim):
         assert net_plan(epsilon, dim).certified_radius < epsilon
 
-    # 3-D nets below epsilon = 0.4 hold over 0.7 M centres (below about 0.36
-    # they pass the size cap) and 4-D nets about 1 M, so the nets built here
-    # are drawn from the cheaper ranges; test_below_epsilon covers the rest.
+    # Each net built here, with its probes and solve, takes at most about a
+    # second: 3-D nets to epsilon = 0.33 (0.93 M centres; below about 0.325
+    # they pass the size cap) and 4-D nets to 0.85, where the nearest-centre
+    # search from the 55,000 face-cell corners takes most of the time.
+    # test_below_epsilon covers the rest.
     @settings(max_examples=16, deadline=None, derandomize=True)
     @given(case=st.one_of(st.tuples(st.just(2), open_floats(0.3, 0.99)),
-                          st.tuples(st.just(3), open_floats(0.4, 0.99))),
+                          st.tuples(st.just(3), open_floats(0.33, 0.99))),
            seed=st.integers(0, 2**32 - 1))
     def test_bounds_the_sampled_solver(self, case, seed):
         self.check(*case, seed)
 
     @settings(max_examples=2, deadline=None, derandomize=True)
-    @given(epsilon=st.floats(0.9, 0.99, exclude_max=True), seed=st.integers(0, 2**32 - 1))
+    @given(epsilon=st.floats(0.85, 0.99, exclude_max=True), seed=st.integers(0, 2**32 - 1))
     def test_bounds_the_sampled_solver_in_4d(self, epsilon, seed):
         self.check(4, epsilon, seed)
 
@@ -282,7 +289,7 @@ class TestNetCertificate:
     def check(dim, epsilon, seed):
         net, plan = epsilon_net(epsilon, dim), net_plan(epsilon, dim)
         assert net.certified_radius == plan.certified_radius < epsilon
-        X, gap = certificate_probes(net, dim, np.random.default_rng(seed))
-        R = sphere_net_radius(harmonic_radius(net.k), plan.spacing, dim)
+        X, gap = certificate_probes(net, plan.n, dim, np.random.default_rng(seed))
+        R = sphere_net_radius(harmonic_radius(net.k), plan.n, dim)
         assert gap <= R
         assert make_net_solver(net.k)(X, net.centers).max() <= net.certified_radius
