@@ -104,16 +104,17 @@ def delta(ctx: MetricContext, x, y) -> float:
     return min(direct, detour)
 
 
-def link_costs(D: np.ndarray, inv: np.ndarray, weight) -> np.ndarray:
+def link_costs(D: np.ndarray, inv: np.ndarray, weight, rows: slice | None = None) -> np.ndarray:
     """All link costs at once: ``D`` holds the base distances ``(..., n, n)``,
     ``inv`` the anchor terms ``1/(1+d(m,x))`` ``(..., n)`` and ``weight`` the
     pair weights (a matrix or a scalar).  Each entry sums ``inv_i + w_ij +
     inv_j`` in ``delta``'s order, so it is bit-equal to ``delta`` on the pair
-    ``(i, j)``; the diagonal is 0."""
-    W = np.minimum(D, inv[..., :, None] + weight + inv[..., None, :])
-    diag = np.arange(W.shape[-1])
-    W[..., diag, diag] = 0.0
-    return W
+    ``(i, j)``; a zero diagonal of ``D`` stays zero.  With the
+    slice ``rows``, ``D`` and ``weight`` hold only those rows
+    ``(..., len(rows), n)``, and so does the result, each row bit-equal to
+    the same row of the whole matrix."""
+    rows = slice(None) if rows is None else rows
+    return np.minimum(D, inv[..., rows, None] + weight + inv[..., None, :])
 
 
 def chain_cost(ctx: MetricContext, chain: Chain) -> float:
@@ -185,6 +186,23 @@ class AxiomReport:
 
 
 AXIOM_TOL = 1e-12  # absolute slack of every metric-axiom check
+# Entries of the (n, pivots, n) temporary of each block of the triangle
+# screen, which bounds its memory; blocks of 512 KB, which stay in cache, ran
+# faster than larger ones at n = 80 and n = 300.
+_SCREEN_BLOCK = 2**16
+
+
+def _shortest_two_links(M: np.ndarray) -> np.ndarray:
+    """``min_k M[i, k] + M[k, j]`` over every pivot k for each pair, a running
+    min-plus product over blocks of pivots; NaN sums are skipped (``fmin``),
+    so each entry is at most every non-NaN sum."""
+    n = len(M)
+    step = max(1, _SCREEN_BLOCK // max(1, n * n))
+    best = np.full(M.shape, np.inf)
+    for lo in range(0, n, step):
+        block = M[:, lo:lo + step, None] + M[None, lo:lo + step, :]
+        np.fmin(best, np.fmin.reduce(block, axis=1), out=best)
+    return best
 
 
 def verify_metric_axioms(matrix) -> AxiomReport:
@@ -212,6 +230,11 @@ def verify_metric_axioms(matrix) -> AxiomReport:
     asym = np.abs(M - M.T) > AXIOM_TOL
     for i, j in zip(*np.nonzero(np.triu(asym, 1))):
         report.symmetry.append((int(i), int(j), float(M[i, j] - M[j, i])))
+    # The pivot loop only runs when the screen finds a pair with some slack
+    # above AXIOM_TOL: float subtraction is monotone and the screen's pivots
+    # include the loop's, so a screen that passes means the loop finds none.
+    if not np.any(M - _shortest_two_links(M) > AXIOM_TOL):
+        return report
     for k in range(n):
         slack = M - (M[:, k, None] + M[None, k, :])
         bad = slack > AXIOM_TOL

@@ -89,17 +89,16 @@ def link_table(space: FiniteSpace) -> np.ndarray:
     return table + table.T
 
 
-def shortest_paths(W: np.ndarray, sources, target: int | None = None):
+def shortest_paths(W: np.ndarray, sources):
     """Dijkstra from every source in lockstep over a dense link-cost matrix,
     or over a stack of them ``(B, n, n)`` with one source per matrix.
 
     ``W[u, v]`` is the nonnegative cost of the edge u -> v, ``inf`` where
     there is none.  Each step settles, per source, the least unsettled node
     (lowest index on ties) and relaxes its out-edges with a strict ``<``, so
-    distances and predecessors follow the textbook heap order exactly.  With
-    a ``target`` the search stops once every source has settled it.  Returns
-    ``(dist, pred)``, one row per source; ``pred`` is -1 at sources and
-    unreached nodes.
+    distances and predecessors follow the textbook heap order exactly.
+    Returns ``(dist, pred)``, one row per source; ``pred`` is -1 at sources
+    and unreached nodes.
     """
     W = np.asarray(W, dtype=float)
     sources = np.atleast_1d(np.asarray(sources, dtype=int))
@@ -116,10 +115,6 @@ def shortest_paths(W: np.ndarray, sources, target: int | None = None):
         if not np.any(np.isfinite(du)):
             break
         frontier[rows, u] = np.inf
-        if target is not None and np.all(
-            np.isinf(frontier[:, target]) & np.isfinite(dist[:, target])
-        ):
-            break  # the target is settled for every source
         # A settled node never improves: its distance is at most du and the
         # costs are nonnegative.
         cand = du[:, None] + W[rows, u]
@@ -128,6 +123,30 @@ def shortest_paths(W: np.ndarray, sources, target: int | None = None):
         np.copyto(frontier, cand, where=better)
         np.copyto(pred, u[:, None], where=better)
     return dist, pred
+
+
+def shortest_path(row, n: int, source: int, target: int):
+    """Dijkstra from ``source`` over ``n`` nodes until it settles ``target``,
+    in the settle order of :func:`shortest_paths`.  ``row(u)`` gives the
+    costs of the out-edges of node ``u``, a length-``n`` array read once, when
+    ``u`` is settled; the search never asks for the target's.  Returns
+    ``(dist, pred)`` as 1-D arrays, final along the settled nodes; ``dist``
+    is ``inf`` at the target when it is unreachable."""
+    dist = np.full(n, np.inf)
+    dist[source] = 0.0
+    pred = np.full(n, -1, dtype=int)
+    frontier = dist.copy()  # distances of unsettled nodes, inf once settled
+    while True:
+        u = int(frontier.argmin())
+        du = frontier[u]
+        if u == target or du == np.inf:
+            return dist, pred
+        frontier[u] = np.inf
+        cand = du + row(u)
+        better = cand < dist
+        np.copyto(dist, cand, where=better)
+        np.copyto(frontier, cand, where=better)
+        pred[better] = u
 
 
 def dphi_exact(space: FiniteSpace) -> DphiMatrix:

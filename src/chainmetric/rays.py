@@ -30,8 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .std_map import (BALL_TOL, TAU, _radii_upto, _row_norms, ball_norm,
-                      pairwise_distances, sphere_index, sphere_weight)
+from .std_map import (BALL_TOL, TAU, NodeColumns, _radii_upto, _row_norms, ball_norm,
+                      sphere_index, sphere_weight)
 
 
 @dataclass(frozen=True)
@@ -308,18 +308,19 @@ def psi(x, y, cone: ConeParam) -> float:
     return float(np.linalg.norm(x - y))
 
 
-def psi_matrix(points, D, cone: ConeParam) -> np.ndarray:
-    """Ray weight over a point set (rows of ``points``, or a stack of sets of
-    shape ``(..., n, s)``) whose distance matrix is ``D``: identification and
-    a shared sphere both compare ray bases, as in :func:`psi`."""
-    P = np.asarray(points, dtype=float)
-    norms = np.linalg.norm(P, axis=-1)
-    idx = sphere_index(norms)
-    on = idx > 0
-    bases = np.zeros_like(P)
-    bases[on] = ray_bases(P[on] / np.minimum(norms[on], 1.0)[:, None], cone)
-    base_dist = pairwise_distances(bases)
-    return sphere_weight(D, idx, base_dist, base_dist)
+def identification_bases(X, norms, cone: ConeParam) -> np.ndarray:
+    """Ray bases of the rows of ``X``, points on spheres whose norms are
+    ``norms``; a point of sphere 1's TAU band inside the unit ball has the
+    base of its radial projection, as in :func:`psi`."""
+    return ray_bases(X / np.minimum(norms, 1.0)[:, None], cone)
+
+
+def psi_matrix(rows: NodeColumns, cols: NodeColumns, D, base_dist) -> np.ndarray:
+    """Ray weight between nodes ``rows`` and ``cols`` of a set whose bases
+    are ray bases (:func:`identification_bases`), ``base_dist`` apart, and
+    whose distances are ``D``: identification and a shared sphere both
+    compare ray bases, as in :func:`psi`."""
+    return sphere_weight(D, rows, cols, base_dist, base_dist)
 
 
 def ray_distances(B1, D1, B2, D2) -> np.ndarray:

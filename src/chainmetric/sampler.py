@@ -17,14 +17,16 @@ from typing import Optional
 import numpy as np
 
 from .core import Chain, MetricContext, link_costs
-from .finite import shortest_paths
-from .rays import ConeParam, psi, psi_matrix, ray_crossings, ray_through
+from .finite import shortest_path, shortest_paths
+from .rays import (ConeParam, identification_bases, psi, psi_matrix, ray_crossings,
+                   ray_through)
 from .std_map import (
     M_MAX_DEFAULT,
+    NodeColumns,
     _radii_upto,
     _row_norms,
     harmonic_radius,
-    pairwise_distances,
+    node_columns,
     phi_std,
     phi_std_matrix,
     sphere_bracket,
@@ -53,25 +55,32 @@ class SamplerConfig:
 @dataclass(frozen=True)
 class EuclidContext(MetricContext):
     """Euclidean base metric with the origin anchor and one of the two
-    compactification weights; ``link_matrix`` prices every pair of a sample
-    with ``core.link_costs``, computing the distance matrix once for weight
-    and link."""
+    compactification weights; ``link_matrix`` prices rows of a sample with
+    ``core.link_costs`` from the sample's ``columns``, computing each block
+    of distances once for weight and link."""
 
     weight_kind: str = "std_phi"
     cone: Optional[ConeParam] = None
 
-    def link_matrix(self, points: np.ndarray) -> np.ndarray:
-        """Link costs between the rows of ``points``, shape ``(n, n)``; a stack
-        of node sets ``(..., n, s)`` gives one matrix per set, ``(..., n, n)``,
-        each bit-equal to the call on its own set."""
-        P = np.asarray(points, dtype=float)
-        D = pairwise_distances(P)
+    def columns(self, points) -> NodeColumns:
+        """The per-node data the link-cost rows of ``points`` read, with the
+        identification bases of this weight."""
         if self.weight_kind == "std_phi":
-            weight = phi_std_matrix(P, D)
-        else:
-            weight = psi_matrix(P, D, self.cone)
-        inv = 1.0 / (1.0 + np.linalg.norm(P, axis=-1))
-        return link_costs(D, inv, weight)
+            return node_columns(points)
+        return node_columns(points, lambda X, norms: identification_bases(X, norms, self.cone))
+
+    def link_matrix(self, nodes, rows: Optional[slice] = None) -> np.ndarray:
+        """Link costs from the nodes in the slice ``rows`` (all by default) of
+        a node set to all of its nodes, shape ``(len(rows), n)``; ``nodes`` is
+        the set's points ``(n, s)`` or their ``columns``.  Each row is
+        bit-equal to the same row of the whole matrix, and a stack of node
+        sets ``(..., n, s)`` gives one matrix per set, ``(..., n, n)``, each
+        bit-equal to the call on its own set."""
+        cols = nodes if isinstance(nodes, NodeColumns) else self.columns(nodes)
+        block = cols if rows is None else cols.take(rows)
+        D, base_dist = cols.distances(block)
+        weight = phi_std_matrix if self.weight_kind == "std_phi" else psi_matrix
+        return link_costs(D, cols.inv, weight(block, cols, D, base_dist), rows)
 
 
 def euclid_context(
@@ -107,10 +116,12 @@ class NodeSet:
         return len(self.points)
 
 
-# The most nodes a sample graph may hold.  A graph's peak memory is about 39
-# bytes per node pair: the 2535-node 2-D sample peaks at 250 MB, some five
-# n x n float matrices.  So 5000 nodes peak near 1 GB, and a 4951-node 3-D
-# sample, which needs 196 MB for each n x n matrix, still fits.
+# The most nodes a sample graph may hold.  A graph's memory is O(n): its
+# search prices one row of n link costs per node it settles, so whole
+# `converge` runs over a 4846-node 2-D sample and a 4014-node 3-D one peak
+# at 33 MB and 39 MB resident (the dense n x n link matrices they used to
+# build peaked at 830 MB and 622 MB).  The cap now bounds time, about 0.5 s
+# for such a graph, rather than memory.
 MAX_NODES = 5000
 
 
@@ -230,13 +241,19 @@ def build_sample(
 
 @dataclass
 class SampleGraph:
-    """Complete link-cost graph over a node set; shortest paths certify upper
-    bounds, and every extra pair can only tighten them."""
+    """Complete link-cost graph over a node set, priced a row at a time from
+    the nodes' columns; shortest paths certify upper bounds, and every extra
+    pair can only tighten them."""
 
     nodes: NodeSet
-    link: np.ndarray = field(repr=False)
+    context: EuclidContext = field(repr=False)
+    columns: NodeColumns = field(repr=False)
     # A class constant, not a field: perfbench's build_graph counter reads it.
     mode = "complete"
+
+    def link_row(self, i: int) -> np.ndarray:
+        """Link costs from node ``i`` to every node."""
+        return self.context.link_matrix(self.columns, slice(i, i + 1))[0]
 
     def node_index(self, x) -> int:
         x = np.asarray(x, dtype=float)
@@ -248,20 +265,21 @@ class SampleGraph:
 
 
 def build_graph(ctx: EuclidContext, nodes: NodeSet) -> SampleGraph:
-    """Weight every node pair with the link cost."""
+    """The complete link-cost graph over ``nodes``: the columns of every node,
+    from which each row of link costs is priced when a search asks for it."""
     if len(nodes) < 2:
         raise ValueError("need at least 2 nodes")
-    return SampleGraph(nodes=nodes, link=ctx.link_matrix(nodes.points))
+    return SampleGraph(nodes=nodes, context=ctx, columns=ctx.columns(nodes.points))
 
 
 def approx_dphi(graph: SampleGraph, x, y) -> tuple[float, Chain]:
     """Shortest-path upper bound between two graph nodes, with the realizing
-    node chain as witness."""
+    node chain as witness; only the rows of the nodes the search settles are
+    priced."""
     i, j = graph.node_index(x), graph.node_index(y)
     if i == j:
         return 0.0, Chain([graph.nodes.points[i], graph.nodes.points[j]])
-    dist, pred = shortest_paths(graph.link, [i], target=j)
-    dist, pred = dist[0], pred[0]
+    dist, pred = shortest_path(graph.link_row, len(graph.nodes), i, j)
     if not np.isfinite(dist[j]):
         raise RuntimeError("graph is disconnected between the query endpoints")
     path = [j]

@@ -97,18 +97,24 @@ def h_pq_std(x, p: int, q: int) -> np.ndarray:
     return (aq / ap) * x
 
 
-def pairwise_distances(P: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrices between the rows of each ``(n, s)`` slice of
-    ``P``, shape ``(..., n, n)``, summed one coordinate at a time (no
-    n x n x s temporary); for s <= 7 that is
-    ``np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2)`` bit for bit."""
-    P = np.asarray(P, dtype=float)
-    sq = np.zeros(P.shape[:-1] + P.shape[-2:-1])
-    for j in range(P.shape[-1]):
-        c = P[..., j]
-        d = c[..., :, None] - c[..., None, :]
-        sq += d * d
-    return np.sqrt(sq)
+def coordinate_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the columns of each ``(s, m)`` slice of
+    ``A`` and the columns of the matching ``(s, n)`` slice of ``B`` (points
+    stored one coordinate per row), shape ``(..., m, n)``, summed one
+    coordinate at a time from 0 (no m x n x s temporary).  So each entry
+    depends on its two points alone, and a block of rows is bit-equal to the
+    same rows of the whole matrix; for s <= 7, ``coordinate_distances(P.T,
+    P.T)`` is ``np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2)`` bit
+    for bit."""
+    sq = None
+    for j in range(A.shape[-2]):
+        d = A[..., j, :, None] - B[..., j, None, :]
+        d *= d
+        if sq is None:  # 0 + d*d is d*d: d*d is never -0
+            sq = d
+        else:
+            sq += d
+    return np.sqrt(sq, out=sq)
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
@@ -118,18 +124,72 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(X, X))
 
 
-def sphere_weight(D, idx, base_dist, same_cost) -> np.ndarray:
-    """The weight law of both compactifications: a pair pays its Euclidean
-    distance ``D`` unless both nodes lie on spheres (``idx > 0``); then it
-    pays ``same_cost`` on a shared sphere, and 0 when its identification
-    bases are at most ``TAU`` apart (``base_dist``).  Leading axes of ``idx``
-    and of the ``(..., n, n)`` matrices index independent node sets."""
-    W = D.copy()
+@dataclass(slots=True)
+class NodeColumns:
+    """What the link-cost rows of a node set read of each node, computed once
+    per set, with the nodes along the last axis.  ``coords[..., 0, :, i]`` is
+    node i's point and ``coords[..., 1, :, i]`` its identification base
+    (radial unit vector or ray base), stored one coordinate per row; ``inv``
+    holds the anchor terms ``1/(1+|x|)``, ``sphere`` the sphere indices and
+    ``radius`` their radii a_m.  Off every sphere a node's base and sphere
+    index are NaN, so no pair with such a node compares as identified or as
+    sharing a sphere, and its radius is 1.  Leading axes index independent
+    node sets."""
+
+    coords: np.ndarray  # (..., 2, s, n)
+    inv: np.ndarray  # (..., n)
+    sphere: np.ndarray  # (..., n)
+    radius: np.ndarray  # (..., n)
+
+    def __len__(self) -> int:
+        """Nodes per set; perfbench's link_matrix counter takes the length of
+        the columns it is passed."""
+        return self.inv.shape[-1]
+
+    def take(self, rows: slice) -> "NodeColumns":
+        """The columns of the nodes in the slice ``rows`` of each set."""
+        return NodeColumns(self.coords[..., rows], self.inv[..., rows],
+                           self.sphere[..., rows], self.radius[..., rows])
+
+    def distances(self, rows: "NodeColumns"):
+        """Euclidean distances ``(..., m, n)`` from the nodes ``rows`` to these
+        nodes, and the distances between their identification bases (NaN
+        where either node is off every sphere), by
+        :func:`coordinate_distances`."""
+        both = coordinate_distances(rows.coords, self.coords)
+        return both[..., 0, :, :], both[..., 1, :, :]
+
+
+def radial_bases(X, norms) -> np.ndarray:
+    """Radial unit vectors of the rows of ``X``, whose norms are ``norms``."""
+    return X / norms[:, None]
+
+
+def node_columns(points, bases=radial_bases) -> NodeColumns:
+    """The columns of a node set (rows of ``points``) or of a stack of sets
+    ``(..., n, s)``; ``bases(X, norms)`` maps the rows on spheres to their
+    identification bases, radial unit vectors by default."""
+    P = np.asarray(points, dtype=float)
+    norms = np.linalg.norm(P, axis=-1)
+    idx = sphere_index(norms)
     on = idx > 0
-    both = on[..., :, None] & on[..., None, :]
-    same = both & (idx[..., :, None] == idx[..., None, :])
-    W[same] = same_cost[same]
-    W[both & (base_dist <= TAU)] = 0.0
+    base = np.full_like(P, np.nan)
+    if np.any(on):
+        base[on] = bases(P[on], norms[on])
+    return NodeColumns(coords=np.stack([P, base], axis=-3).swapaxes(-1, -2).copy(),
+                       inv=1.0 / (1.0 + norms),
+                       sphere=np.where(on, idx, np.nan),
+                       radius=_radii_upto(int(idx.max(initial=1)))[np.maximum(idx, 1) - 1])
+
+
+def sphere_weight(D, rows: NodeColumns, cols: NodeColumns, base_dist, same_cost) -> np.ndarray:
+    """The weight law of both compactifications between nodes ``rows`` and
+    ``cols`` of a set, whose distances are ``D`` ``(..., m, n)``: a pair pays
+    its Euclidean distance unless both nodes lie on spheres; then it pays
+    ``same_cost`` on a shared sphere, and 0 when its identification bases are
+    at most ``TAU`` apart (``base_dist``, NaN unless both are on spheres)."""
+    W = np.where(rows.sphere[..., :, None] == cols.sphere[..., None, :], same_cost, D)
+    np.copyto(W, 0.0, where=base_dist <= TAU)
     return W
 
 
@@ -148,17 +208,12 @@ def phi_std(x, y) -> float:
     return float(np.linalg.norm(x - y))
 
 
-def phi_std_matrix(points, D) -> np.ndarray:
-    """Radial weight over a point set (rows of ``points``, or a stack of sets
-    of shape ``(..., n, s)``) whose distance matrix is ``D``: identification
-    compares radial unit vectors, and a shared sphere m rescales the chord by
-    1/a_m."""
-    P = np.asarray(points, dtype=float)
-    norms = np.linalg.norm(P, axis=-1)
-    idx = sphere_index(norms)
-    am = _radii_upto(int(idx.max(initial=1)))[np.maximum(idx, 1) - 1]
-    units = P / np.where(norms > 0, norms, 1.0)[..., None]
-    return sphere_weight(D, idx, pairwise_distances(units), D / am[..., :, None])
+def phi_std_matrix(rows: NodeColumns, cols: NodeColumns, D, base_dist) -> np.ndarray:
+    """Radial weight between nodes ``rows`` and ``cols`` of a set (columns
+    from :func:`node_columns`), whose distances are ``D`` and whose unit
+    vectors are ``base_dist`` apart: identification compares radial unit
+    vectors, and a shared sphere m rescales the chord by 1/a_m."""
+    return sphere_weight(D, rows, cols, base_dist, D / rows.radius[..., :, None])
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ and its crossing with one sphere at a time, the distance between one pair
 of rays at a time, a sample built one direction
 and one sphere at a time, one bisection per point for the ray base and
 one bisection of all points at once, a binary-heap Dijkstra per source,
+a sample graph's whole link matrix and the shortest path through it,
 one shortest-path solve per epsilon-net sample, a whole-cube grid for the
-3-D sphere net and a brute-force nearest-center search.  They exist only
+3-D sphere net, a brute-force nearest-center search and one triangle check
+per pivot.  They exist only
 so the tests can hold the kernels to them.
 """
 from __future__ import annotations
@@ -19,11 +21,12 @@ import math
 
 import numpy as np
 
-from chainmetric.core import delta
+from chainmetric.core import AXIOM_TOL, AxiomReport, delta
 from chainmetric.finite import FiniteSpace
 from chainmetric.rays import _RESIDUAL_TOL, ConeParam, Ray, _field_direction, ray_bases
 from chainmetric.sampler import NodeSet, SamplerConfig, _dedupe, _net_directions, euclid_context
-from chainmetric.std_map import M_MAX_DEFAULT, TAU, _radii_upto, harmonic_radius, sphere_bracket
+from chainmetric.std_map import (M_MAX_DEFAULT, TAU, _radii_upto, harmonic_radius, sphere_bracket,
+                                sphere_index)
 
 
 def link_table_reference(space: FiniteSpace) -> np.ndarray:
@@ -275,6 +278,92 @@ def dijkstra_reference(W: np.ndarray, source: int):
                 pred[v] = u
                 heapq.heappush(heap, (nd, v))
     return dist, pred
+
+
+def _distance_matrix(X: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrices between the rows of each ``(n, s)`` slice
+    of ``X``, summed one coordinate at a time from 0."""
+    sq = np.zeros(X.shape[:-1] + X.shape[-2:-1])
+    for j in range(X.shape[-1]):
+        c = X[..., j]
+        d = c[..., :, None] - c[..., None, :]
+        sq += d * d
+    return np.sqrt(sq)
+
+
+def link_matrix_reference(ctx, points) -> np.ndarray:
+    """All link costs of a node set as one dense matrix, priced the way the
+    sampler priced every sample graph before it priced rows on demand: whole
+    distance matrices of the points and of their radial unit vectors or ray
+    bases, the weight law applied through boolean masks, and ``inv_i + w_ij +
+    inv_j`` with the diagonal set to 0."""
+    P = np.asarray(points, dtype=float)
+    D = _distance_matrix(P)
+    norms = np.linalg.norm(P, axis=-1)
+    idx = sphere_index(norms)
+    on = idx > 0
+    if ctx.weight_kind == "std_phi":
+        am = _radii_upto(int(idx.max(initial=1)))[np.maximum(idx, 1) - 1]
+        base_dist = _distance_matrix(P / np.where(norms > 0, norms, 1.0)[..., None])
+        same_cost = D / am[..., :, None]
+    else:
+        bases = np.zeros_like(P)
+        bases[on] = ray_bases(P[on] / np.minimum(norms[on], 1.0)[:, None], ctx.cone)
+        base_dist = same_cost = _distance_matrix(bases)
+    W = D.copy()
+    both = on[..., :, None] & on[..., None, :]
+    same = both & (idx[..., :, None] == idx[..., None, :])
+    W[same] = same_cost[same]
+    W[both & (base_dist <= TAU)] = 0.0
+    inv = 1.0 / (1.0 + norms)
+    L = np.minimum(D, inv[..., :, None] + W + inv[..., None, :])
+    diag = np.arange(L.shape[-1])
+    L[..., diag, diag] = 0.0
+    return L
+
+
+def approx_dphi_reference(ctx, nodes: NodeSet, x, y):
+    """The shortest-path bound between nodes ``x`` and ``y`` of a sample and
+    its node chain, from the whole link matrix and a heap Dijkstra."""
+    P = nodes.points
+    i, j = (int(np.argmin(np.linalg.norm(P - np.asarray(p, dtype=float), axis=1)))
+            for p in (x, y))
+    if i == j:
+        return 0.0, [P[i], P[j]]
+    dist, pred = dijkstra_reference(link_matrix_reference(ctx, P), i)
+    path = [j]
+    while path[-1] != i:
+        path.append(int(pred[path[-1]]))
+    return float(dist[j]), [P[k] for k in reversed(path)]
+
+
+def verify_metric_axioms_reference(matrix) -> AxiomReport:
+    """The metric-axiom check with the triangle inequality tested pivot by
+    pivot: every ``(i, k, j)`` with distinct ``k`` whose slack
+    ``M[i, j] - (M[i, k] + M[k, j])`` exceeds ``AXIOM_TOL``."""
+    M = np.asarray(matrix, dtype=float)
+    n = M.shape[0]
+    report = AxiomReport()
+    for i, j in zip(*np.nonzero(M < -AXIOM_TOL)):
+        report.nonnegativity.append((int(i), int(j), float(M[i, j])))
+    for i in range(n):
+        if abs(M[i, i]) > AXIOM_TOL:
+            report.identity.append((i, i, float(M[i, i])))
+    off = np.abs(M) <= AXIOM_TOL
+    np.fill_diagonal(off, False)
+    for i, j in zip(*np.nonzero(off)):
+        report.identity.append((int(i), int(j), float(M[i, j])))
+    asym = np.abs(M - M.T) > AXIOM_TOL
+    for i, j in zip(*np.nonzero(np.triu(asym, 1))):
+        report.symmetry.append((int(i), int(j), float(M[i, j] - M[j, i])))
+    for k in range(n):
+        slack = M - (M[:, k, None] + M[None, k, :])
+        bad = slack > AXIOM_TOL
+        bad[:, k] = False
+        bad[k, :] = False
+        for i, j in zip(*np.nonzero(bad)):
+            report.triangle.append((int(i), int(k), int(j), float(slack[i, j])))
+    return report
 
 
 def net_solver_reference(k: int):

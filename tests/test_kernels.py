@@ -1,7 +1,8 @@
 """The batched kernels (the finite link table, sphere classification,
-pairwise distances, the ray field, its inversion and ray separation, the
-structured sample, shortest paths, stacked link costs, the epsilon-net solver,
-nearest-center search and sphere net) against their loop-per-element
+coordinate-at-a-time distances, the ray field, its inversion and ray separation, the
+structured sample, shortest paths, link-cost rows priced on demand, stacked
+link costs, the epsilon-net solver, nearest-center search, sphere net and the
+triangle screen of the axiom check) against their loop-per-element
 references, the scalar link cost ``core.delta`` and the brute-force oracle."""
 import functools
 
@@ -10,15 +11,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chainmetric.core import AXIOM_TOL, delta as link_cost
+from chainmetric.core import AXIOM_TOL, delta as link_cost, verify_metric_axioms
 from chainmetric.finite import (FiniteSpace, dphi_bruteforce, dphi_exact, link_table,
-                                shortest_paths)
-from chainmetric.rays import (ConeParam, Ray, ray_bases, ray_crossings, ray_directions,
-                              ray_distance, ray_distances, ray_of)
+                                shortest_path, shortest_paths)
+from chainmetric.rays import (ConeParam, Ray, h_pq_ray, ray_bases, ray_crossings,
+                              ray_directions, ray_distance, ray_distances, ray_of)
 from chainmetric.sampler import (
     SamplerConfig,
     _CenterGrid,
+    _level_config,
+    _merge,
     _row_norms,
+    approx_dphi,
+    build_graph,
     build_sample,
     euclid_context,
     make_net_solver,
@@ -26,18 +31,20 @@ from chainmetric.sampler import (
 from chainmetric.std_map import (
     TAU,
     _sphere_net,
+    coordinate_distances,
     epsilon_net,
     harmonic_radius,
     net_index,
     net_plan,
-    pairwise_distances,
     sphere_index,
 )
 
 from conftest import random_finite_space
 from reference import (
+    approx_dphi_reference,
     build_sample_reference,
     dijkstra_reference,
+    link_matrix_reference,
     link_table_reference,
     nearest_center_reference,
     net_solver_reference,
@@ -48,6 +55,7 @@ from reference import (
     ray_through_reference,
     sphere_index_reference,
     sphere_net_reference,
+    verify_metric_axioms_reference,
 )
 
 deltas = st.floats(0.1, 0.75)
@@ -105,7 +113,7 @@ class TestPairwiseDistances:
         rng = np.random.default_rng(100 * s + n)
         P = rng.normal(size=(n, s)) * rng.uniform(0.01, 50.0, size=(n, 1))
         expected = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2)
-        assert np.array_equal(pairwise_distances(P), expected)
+        assert np.array_equal(coordinate_distances(P.T, P.T), expected)
 
 
 open_deltas = st.floats(0.0, np.pi / 4.0, exclude_min=True, exclude_max=True)
@@ -420,6 +428,69 @@ class TestLinkMatrixAgainstDelta:
             assert abs(W[i, j] - value) <= 1e-12 * max(1.0, abs(value)), (i, j)
 
 
+@st.composite
+def row_endpoints(draw, dim, weight, cone):
+    """Two endpoints of ``spec_endpoints``, or a first one on a sphere and
+    the second its identification onto another sphere, so that the two
+    share a radial unit vector or a ray base."""
+    x = draw(spec_endpoints(dim))
+    m = int(sphere_index(float(np.linalg.norm(x))))
+    if not m or draw(st.booleans()):
+        return [x, draw(spec_endpoints(dim))]
+    k = draw(st.sampled_from([k for k in range(1, 7) if k != m]))
+    if weight == "std_phi":
+        y = harmonic_radius(k) * x / np.linalg.norm(x)
+    else:
+        y = h_pq_ray(x, k, cone)
+    return [x, y] if draw(st.booleans()) else [y, x]
+
+
+def sample_configs(data, spheres=5):
+    """A small 2-D or 3-D sampler config with up to ``spheres`` spheres."""
+    return SamplerConfig(
+        dimension=data.draw(dims, label="dim"),
+        max_sphere_index=data.draw(st.integers(1, spheres)),
+        angular_resolution=data.draw(st.sampled_from([0.8, 1.0, 2.0])),
+        radial_steps=data.draw(st.integers(0, 2)),
+        seed=data.draw(st.integers(0, 3)),
+    )
+
+
+class TestPricedRows:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), weight=st.sampled_from(["std_phi", "ray_psi"]), delta=deltas)
+    def test_each_row_bit_equal_to_the_dense_reference(self, data, weight, delta):
+        config = sample_configs(data)
+        dim = config.dimension
+        cone = ConeParam(delta=delta, dim=dim)
+        ctx = euclid_context(weight, cone=cone, dim=dim)
+        endpoints = data.draw(row_endpoints(dim, weight, cone))
+        graph = build_graph(ctx, build_sample(config, endpoints, weight, cone))
+        dense = link_matrix_reference(ctx, graph.nodes.points)
+        assert same_bits(ctx.link_matrix(graph.nodes.points), dense)
+        for i in range(len(graph.nodes)):
+            assert same_bits(graph.link_row(i), dense[i]), i
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data(), weight=st.sampled_from(["std_phi", "ray_psi"]), delta=deltas)
+    def test_bound_and_witness_equal_the_dense_reference(self, data, weight, delta):
+        config = sample_configs(data, spheres=4)
+        dim = config.dimension
+        cone = ConeParam(delta=delta, dim=dim)
+        ctx = euclid_context(weight, cone=cone, dim=dim)
+        x, y = data.draw(row_endpoints(dim, weight, cone))
+        # The refinement levels of a convergence run, each merged into the
+        # nodes of the levels before it.
+        nodes = None
+        for level in range(data.draw(st.integers(1, 3 if dim == 2 else 2))):
+            fresh = build_sample(_level_config(config, level), [x, y], weight, cone)
+            nodes = fresh if nodes is None else _merge(nodes, fresh)
+            value, witness = approx_dphi(build_graph(ctx, nodes), x, y)
+            ref_value, ref_witness = approx_dphi_reference(ctx, nodes, x, y)
+            assert same_bits(value, ref_value)
+            assert same_bits(witness.points, ref_witness)
+
+
 def random_costs(rng, n, masked: bool) -> np.ndarray:
     """Asymmetric nonnegative costs; small integers force distance ties."""
     W = rng.integers(0, 4, size=(n, n)).astype(float)
@@ -447,14 +518,22 @@ class TestShortestPaths:
         rng = np.random.default_rng(seed)
         W = random_costs(rng, n, masked)
         s, t = (int(v) for v in rng.choice(n, size=2, replace=False))
-        dist, pred = shortest_paths(W, [s], target=t)
+        asked = []
+
+        def row(u):
+            asked.append(u)
+            return W[u]
+
+        dist, pred = shortest_path(row, n, s, t)
         ref_dist, ref_pred = dijkstra_reference(W, s)
-        assert dist[0, t] == ref_dist[t]
+        assert dist[t] == ref_dist[t]
+        # Each settled node's row is read once, and the target's never.
+        assert t not in asked and len(set(asked)) == len(asked)
         if np.isfinite(ref_dist[t]):
             v = t
             while v != s:
-                assert pred[0, v] == ref_pred[v]
-                v = int(pred[0, v])
+                assert pred[v] == ref_pred[v]
+                v = int(pred[v])
 
 
 class TestStackedShortestPaths:
@@ -546,6 +625,44 @@ class TestStackedLinkMatrix:
         assert W.shape == P.shape[:-1] + P.shape[-2:-1]
         for lead in np.ndindex(P.shape[:-2]):
             assert np.array_equal(W[lead], ctx.link_matrix(P[lead]))
+
+
+@st.composite
+def axiom_matrices(draw):
+    """Distance matrices of random metric spaces, some of them larger than
+    one pivot block of the triangle screen, with violations planted: raised
+    or lowered entries (triangle, nonnegativity), a nonzero diagonal or a
+    zero off-diagonal entry (identity) and one-sided changes (symmetry), each
+    larger than AXIOM_TOL or within it.  A lowered entry breaks triangles
+    through its own two points as pivots only, so some are planted among the
+    last points, beyond the screen's first block."""
+    n = draw(st.sampled_from([1, 2, 3, 5, 9, 40, 110]))
+    rng = np.random.default_rng(draw(seeds))
+    M = random_finite_space(n, rng).distances.copy()
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["raise", "lower", "diagonal", "zero", "skew", "tiny"]))
+        low = max(0, n - 8) if draw(st.booleans()) else 0
+        i, j = (int(v) for v in rng.integers(low, n, size=2))
+        if kind == "raise":
+            M[i, j] = M[j, i] = M[i, j] + rng.uniform(0.1, 3.0)
+        elif kind == "lower":
+            M[i, j] = M[j, i] = M[i, j] - rng.uniform(0.1, 3.0)
+        elif kind == "diagonal":
+            M[i, i] = rng.uniform(-0.5, 0.5)
+        elif kind == "zero":
+            M[i, j] = M[j, i] = 0.0
+        elif kind == "skew":
+            M[i, j] += rng.uniform(-0.5, 0.5)
+        else:
+            M[i, j] += rng.uniform(-1.0, 1.0) * AXIOM_TOL
+    return M
+
+
+class TestAxiomScreen:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(M=axiom_matrices())
+    def test_report_equals_the_pivot_loop(self, M):
+        assert verify_metric_axioms(M) == verify_metric_axioms_reference(M)
 
 
 @functools.lru_cache(maxsize=None)

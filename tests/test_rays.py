@@ -7,6 +7,7 @@ from chainmetric.rays import (
     bend_angle,
     boundary_map_h_ray,
     h_pq_ray,
+    identification_bases,
     polar_angle,
     psi,
     psi_matrix,
@@ -16,7 +17,7 @@ from chainmetric.rays import (
     spherical_distance,
     spherical_to_cartesian,
 )
-from chainmetric.std_map import harmonic_radius, pairwise_distances
+from chainmetric.std_map import harmonic_radius, node_columns
 
 
 @pytest.fixture
@@ -194,7 +195,8 @@ class TestRayWeight:
         base = unit([np.cos(1.0), np.sin(1.0)])
         pts += [base, h_pq_ray(base, 3, cone2), np.array([1.5, 0.0]), (1.0 - 5e-10) * base]
         P = np.array(pts)
-        W = psi_matrix(P, pairwise_distances(P), cone2)
+        cols = node_columns(P, lambda X, norms: identification_bases(X, norms, cone2))
+        W = psi_matrix(cols, cols, *cols.distances(cols))
         for i in range(len(P)):
             for j in range(len(P)):
                 assert W[i, j] == pytest.approx(psi(P[i], P[j], cone2), abs=1e-12)

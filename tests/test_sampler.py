@@ -89,7 +89,7 @@ class TestBuildGraph:
         nodes = NodeSet(points=np.array([[0.1, 0.0], [0.3, 0.0]]),
                         provenance=["endpoint", "endpoint"])
         graph = build_graph(std_ctx, nodes)
-        assert np.isfinite(graph.link[0, 1:]).sum() == 1
+        assert np.isfinite(graph.link_row(0)[1:]).sum() == 1
         value, witness = approx_dphi(graph, nodes.points[0], nodes.points[1])
         assert value == pytest.approx(
             delta(std_ctx, nodes.points[0], nodes.points[1]), abs=1e-15
@@ -100,13 +100,15 @@ class TestBuildGraph:
         pts = rng.normal(size=(9, 2))
         nodes = NodeSet(points=pts, provenance=["endpoint"] * 9)
         graph = build_graph(std_ctx, nodes)
+        rows = np.array([graph.link_row(i) for i in range(9)])
         off_diagonal = ~np.eye(9, dtype=bool)
-        assert np.isfinite(graph.link[off_diagonal]).sum() == 9 * 8
+        assert np.isfinite(rows[off_diagonal]).sum() == 9 * 8
 
 
 class TestApproxDphi:
     def test_matches_finite_oracle_on_three_point_line(self, three_point_line):
-        # same geometry embedded in the plane with the zero weight
+        # same geometry embedded in the plane with the zero weight, its rows
+        # priced by the scalar link cost
         ctx = zero_weight_context(dim=2)
         pts = np.array([[0.0, 0.0], [10.0, 0.0], [-10.0, 0.0]])
         nodes = NodeSet(points=pts, provenance=["endpoint"] * 3)
@@ -116,14 +118,12 @@ class TestApproxDphi:
             cone = None
 
             @staticmethod
-            def link_matrix(P):
-                n = len(P)
-                W = np.zeros((n, n))
-                for i in range(n):
-                    for j in range(n):
-                        if i != j:
-                            W[i, j] = delta(ctx, P[i], P[j])
-                return W
+            def columns(P):
+                return P
+
+            @staticmethod
+            def link_matrix(P, rows):
+                return np.array([[delta(ctx, p, q) for q in P] for p in P[rows]])
 
         graph = build_graph(_Ctx, nodes)
         value, _ = approx_dphi(graph, pts[1], pts[2])

@@ -14,7 +14,7 @@ from chainmetric.std_map import (
     harmonic_radius,
     net_index,
     net_plan,
-    pairwise_distances,
+    node_columns,
     phi_std,
     phi_std_matrix,
     sphere_bracket,
@@ -133,7 +133,8 @@ class TestStdWeight:
         pts += [harmonic_radius(m) * np.array([np.cos(t), np.sin(t)])
                 for m, t in ((1, 0.0), (1, 1.0), (3, 0.0), (3, 2.0), (5, 0.0))]
         P = np.array(pts)
-        W = phi_std_matrix(P, pairwise_distances(P))
+        cols = node_columns(P)
+        W = phi_std_matrix(cols, cols, *cols.distances(cols))
         for i in range(len(P)):
             for j in range(len(P)):
                 assert W[i, j] == pytest.approx(phi_std(P[i], P[j]), abs=1e-12)
