@@ -56,15 +56,6 @@ from .sampler import (
     euclid_context,
     make_net_solver,
 )
-from .completion import (
-    CauchyTruncation,
-    NoneqReport,
-    RhoEstimate,
-    classify_sequence,
-    constant_truncation,
-    ladder_truncation,
-    nonequivalence_experiment,
-    rho_estimate,
-)
+from .completion import NoneqReport, nonequivalence_experiment
 
 __version__ = "0.1.0"

@@ -84,7 +84,6 @@ class BoundCertificate:
 
     lower: float
     upper: float
-    pair: tuple
 
     def __post_init__(self):
         if self.lower > self.upper + 1e-12:
@@ -144,7 +143,6 @@ def certificate(ctx: MetricContext, x, y) -> BoundCertificate:
     return BoundCertificate(
         lower=lower_bound_certificate(ctx, x, y),
         upper=delta(ctx, x, y),
-        pair=(x, y),
     )
 
 

@@ -475,6 +475,12 @@ class TestNoneq:
         result = invoke(runner, ["noneq", "--delta", "1.2"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("horizon", [M_MAX_DEFAULT, 10**12])
+    def test_horizon_beyond_sphere_cap_is_usage_error(self, runner, horizon):
+        result = invoke(runner, ["noneq", "--horizon", str(horizon)])
+        assert result.exit_code == 2
+        assert "sphere index cap" in result.output
+
     def test_delta_defaults_to_the_group_delta(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"delta": 0.3}))

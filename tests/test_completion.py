@@ -1,95 +1,10 @@
 import numpy as np
 import pytest
 
-from chainmetric.completion import (
-    CauchyTruncation,
-    classify_sequence,
-    constant_truncation,
-    ladder_truncation,
-    nonequivalence_experiment,
-    rho_estimate,
-)
-from chainmetric.core import delta
-from chainmetric.sampler import euclid_context
-from chainmetric.std_map import boundary_map_h_std, harmonic_radius
-
-
-@pytest.fixture
-def std_ctx():
-    return euclid_context("std_phi", dim=2)
-
-
-class TestRhoEstimate:
-    def test_equal_truncations_are_zero(self, std_ctx):
-        a = ladder_truncation([0.0, 1.0], 8)
-        est = rho_estimate(std_ctx, a, a)
-        assert all(row[1] == 0.0 for row in est.values)
-        assert est.trend == "decreasing"
-
-    def test_constant_pair_reduces_to_single_value(self, std_ctx):
-        x, y = np.array([0.5, 0.0]), np.array([0.0, 0.5])
-        est = rho_estimate(std_ctx, constant_truncation(x, 6),
-                           constant_truncation(y, 6))
-        vals = [row[1] for row in est.values]
-        assert max(vals) - min(vals) < 1e-12
-        # near the anchor the transform equals the plain distance
-        assert vals[0] == pytest.approx(np.linalg.norm(x - y), abs=1e-9)
-
-    def test_diverging_ladders_bounded_by_link_cost(self, std_ctx):
-        e1 = ladder_truncation([1.0, 0.0], 10)
-        e2 = ladder_truncation([0.0, 1.0], 10)
-        est = rho_estimate(std_ctx, e1, e2)
-        for i, approx, lower, upper in est.values:
-            ai = harmonic_radius(i)
-            cap = 2.0 / (1.0 + ai) + np.sqrt(2.0)
-            assert approx <= cap + 1e-12
-            assert lower <= approx + 1e-12
-            assert approx <= upper + 1e-12
-
-    def test_rejects_short_horizon(self, std_ctx):
-        a = constant_truncation(np.zeros(2), 1)
-        with pytest.raises(ValueError):
-            rho_estimate(std_ctx, a, a, horizon=1)
-
-
-class TestClassifySequence:
-    def test_constant_is_finite(self, std_ctx):
-        x = np.array([0.4, 0.3])
-        out = classify_sequence(constant_truncation(x, 12), std_ctx)
-        assert out.kind == "finite"
-        assert np.allclose(out.point, x)
-
-    def test_ladder_is_at_infinity(self, std_ctx):
-        u = np.array([0.6, 0.8])
-        out = classify_sequence(ladder_truncation(u, 24), std_ctx)
-        assert out.kind == "at_infinity"
-        assert np.linalg.norm(out.point - u) < 1e-9
-
-    def test_converging_oscillation_is_finite(self, std_ctx):
-        y = np.array([0.2, -0.1])
-        seq = CauchyTruncation(
-            generator=lambda i: y + ((-1) ** i) * 1e-6 / i * np.array([1.0, 0.0]),
-            horizon=15,
-        )
-        out = classify_sequence(seq, std_ctx)
-        assert out.kind == "finite"
-        assert np.linalg.norm(out.point - y) < 1e-5
-
-    def test_matches_boundary_map_representative(self, std_ctx):
-        u = np.array([np.cos(0.4), np.sin(0.4)])
-        rep = boundary_map_h_std(u)
-        seq = CauchyTruncation(generator=rep.representative, horizon=24)
-        out = classify_sequence(seq, std_ctx)
-        assert out.kind == "at_infinity"
-        assert np.linalg.norm(out.point - u) < 1e-9
-
-    def test_wild_sequence_is_inconclusive(self, std_ctx):
-        seq = CauchyTruncation(
-            generator=lambda i: np.array([(-1.0) ** i * 3.0, 0.1 * i]),
-            horizon=12,
-        )
-        out = classify_sequence(seq, std_ctx)
-        assert out.kind == "inconclusive"
+from chainmetric.completion import _sampled_bound, nonequivalence_experiment
+from chainmetric.rays import ConeParam, h_pq_ray
+from chainmetric.sampler import SamplerConfig, euclid_context
+from chainmetric.std_map import M_MAX_DEFAULT, harmonic_radius
 
 
 class TestNonequivalence:
@@ -129,3 +44,33 @@ class TestNonequivalence:
             nonequivalence_experiment(1.0, 20)
         with pytest.raises(ValueError):
             nonequivalence_experiment(0.6, 3)
+
+    def test_horizon_beyond_sphere_cap_fails_before_sampling(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sampled before the horizon was checked")
+
+        monkeypatch.setattr("chainmetric.completion.h_pq_ray", unreachable)
+        monkeypatch.setattr("chainmetric.completion.build_sample", unreachable)
+        for horizon in (M_MAX_DEFAULT, 10**12):
+            with pytest.raises(ValueError, match="sphere index cap"):
+                nonequivalence_experiment(0.6, horizon)
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_cap_is_the_last_pair_that_can_be_sampled(self, s):
+        """The largest horizon allowed ends on a pair the samples can bracket;
+        one index more cannot, under either weight."""
+        cone = ConeParam(delta=0.6, dim=s)
+        cfg = SamplerConfig(dimension=s, max_sphere_index=8, angular_resolution=1.0)
+        b1 = np.zeros(s)
+        b1[0], b1[1] = np.cos(0.3), np.sin(0.3)
+        for i in (M_MAX_DEFAULT - 1, M_MAX_DEFAULT):
+            a_pt = np.zeros(s)
+            a_pt[0] = harmonic_radius(i)
+            b_pt = h_pq_ray(b1, np.array([i]), cone)[0]
+            for ctx in (euclid_context("ray_psi", cone=cone, dim=s),
+                        euclid_context("std_phi", dim=s)):
+                if i < M_MAX_DEFAULT:
+                    assert _sampled_bound(ctx, a_pt, b_pt, cfg) > 0.0
+                else:
+                    with pytest.raises(ValueError, match="beyond sphere index cap"):
+                        _sampled_bound(ctx, a_pt, b_pt, cfg)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainmetric import std_map
-from chainmetric.sampler import _CenterGrid, make_net_solver
+from chainmetric.core import Chain, chain_cost
+from chainmetric.sampler import _CenterGrid, euclid_context, make_net_solver
 from chainmetric.std_map import (
     BoundaryRepStd,
     boundary_map_h_std,
@@ -239,7 +240,8 @@ def certificate_probes(net, n, dim, rng):
     between centres in 2-D and, for s >= 3, among the radial images of the
     corners of every face cell of the cube (cube edges and vertices
     included), where the sphere net's covering bound is tightest.  Returns
-    the probes with the largest sphere-k coverage distance found."""
+    the probes, the largest sphere-k coverage distance found and the
+    worst-covered directions."""
     k = net.k
     ak, ak1 = harmonic_radius(k), harmonic_radius(k + 1)
     sphere = net.centers[:net.sphere_center_count]
@@ -260,7 +262,27 @@ def certificate_probes(net, n, dim, rng):
     shell *= rng.uniform(ak1, ak1 + 2.0, size=(40, 1)) / np.linalg.norm(shell, axis=1)[:, None]
     radii = [ak, ak1] + [harmonic_radius(int(m)) for m in rng.integers(k + 2, 3 * k + 10, size=4)]
     X = np.vstack([inside, shell] + [a * worst for a in radii])
-    return X, float(gap.max())
+    return X, float(gap.max()), worst
+
+
+def detour_chain_costs(net, U, dim):
+    """Costs, priced link by link by ``core.chain_cost``, of the
+    certificate's own chain a_m u -> a_k u -> the sphere-k centre nearest
+    a_k u, for each direction u of ``U``.  The spheres m lie between k + 1
+    and 6k where the identification detour 1/(1+a_m) + 1/(1+a_k) is no
+    dearer than the radial link a_m - a_k.  The detour falls as m grows, so
+    the chain costs most on the first of them; twelve log-spaced ones from
+    there to 6k are priced."""
+    k = net.k
+    ak = harmonic_radius(k)
+    sphere = net.centers[:net.sphere_center_count]
+    nearest = sphere[_CenterGrid(sphere).nearest(ak * U)]
+    am = std_map._radii_upto(6 * k)[k:]
+    binds = np.flatnonzero(1.0 / (1.0 + am) + 1.0 / (1.0 + ak) <= am - ak) + k + 1
+    spheres = np.unique(np.geomspace(binds[0], binds[-1], 12).round().astype(int))
+    ctx = euclid_context("std_phi", dim=dim)
+    return [chain_cost(ctx, Chain([harmonic_radius(int(m)) * u, ak * u, c]))
+            for u, c in zip(U, nearest) for m in spheres]
 
 
 class TestNetCertificate:
@@ -290,7 +312,8 @@ class TestNetCertificate:
     def check(dim, epsilon, seed):
         net, plan = epsilon_net(epsilon, dim), net_plan(epsilon, dim)
         assert net.certified_radius == plan.certified_radius < epsilon
-        X, gap = certificate_probes(net, plan.n, dim, np.random.default_rng(seed))
+        X, gap, worst = certificate_probes(net, plan.n, dim, np.random.default_rng(seed))
         R = sphere_net_radius(harmonic_radius(net.k), plan.n, dim)
         assert gap <= R
         assert make_net_solver(net.k)(X, net.centers).max() <= net.certified_radius
+        assert max(detour_chain_costs(net, worst, dim)) <= net.certified_radius
