@@ -222,7 +222,7 @@ def net(opts, epsilon, dimension, samples, verify):
         plan.check()
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    solver = make_net_solver(plan.k) if verify else None
+    solver = make_net_solver() if verify else None
     result = epsilon_net(
         epsilon, dimension, solver=solver, samples=samples,
         rng=np.random.default_rng(opts["seed"]),

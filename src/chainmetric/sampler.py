@@ -25,7 +25,6 @@ from .std_map import (
     NodeColumns,
     _radii_upto,
     _row_norms,
-    harmonic_radius,
     node_columns,
     phi_std,
     phi_std_matrix,
@@ -318,209 +317,35 @@ def convergence_run(
     return rows
 
 
-# Centers per grid cell on average in the nearest-center search, centers
-# per column of its distance table; queries per search and rows of cells
-# per block of a search, which bound its temporaries.
-_CELL_FILL = 2
-_CELL_ROW = 4
-_CELL_QUERIES = 2**9
-_CELL_BLOCK = 2**14
 # Samples per stacked solve, which bounds its (S, 8, 8) temporaries.
 _NET_ROWS = 2**12
 
 
-class _CenterGrid:
-    """The centers bucketed in a uniform grid of cubic cells, for exact
-    nearest-center search (fixed-radius cell lists; Bentley, Stanat &
-    Williams 1977).
+def make_net_solver():
+    """Coverage solver for epsilon-net verification, ``solve(X, net)``.
 
-    ``nearest`` searches all queries at once, in two stages.  First each
-    query searches the cube of cells within R of the grid cell nearest to
-    it, with R = 1, doubled and searched again while the cube holds no
-    center.  Then a query whose best distance reaches past that cube
-    searches every cell within the best distance.  Each search takes, for
-    each prefix of cells, the row of cells along the last axis, whose
-    centers are consecutive.  The chosen index is the brute-force
-    ``argmin`` of ``sqrt(sum_j (center_j - x_j)**2)``, bit for bit, because:
-
-    - each candidate distance sums its squares one coordinate at a time and
-      then takes the square root, as the brute force does;
-    - the best distance is widened by a relative 1e-9 and a slack of 1e-9 of
-      the grid's scale wherever it bounds a search: a query skips the second
-      stage only when the cube's nearest open face lies beyond it, and a row
-      is skipped only when its box does, so float error in the cell
-      assignment or in the bounds never drops a center that could tie;
-    - among equal distances the lowest center index wins.
+    Each sample (a row of ``X``) gets one ``(8, s)`` node set with a
+    validity mask: the sample, its ladder ``{1, m, m+1, k, k+1}``
+    (``a_m <= |x| < a_{m+1}``) toward sphere k and the sphere-k center of
+    its direction's cell, both only when ``|x| >= 1``, and the ball net's
+    grid point of its cell when that is a center
+    (``EpsilonNet.candidate_centers``).  One Dijkstra over all the link
+    matrices at once bounds each sample's distance to the nearer of the two
+    centers, which the certificate bounds by ``certified_radius``.
     """
 
-    def __init__(self, centers):
-        C = self.centers = np.asarray(centers, dtype=float)
-        N, s = C.shape
-        axes = [C[:, j] for j in range(s)]
-        self.lo = np.array([a.min() for a in axes])
-        hi = np.array([a.max() for a in axes])
-        extent = hi - self.lo
-        self.h = float(extent.max()) / max(1, int((N / _CELL_FILL) ** (1.0 / s))) or 1.0
-        # A center on the far face of the grid joins the cell below it.
-        self.top = np.maximum(np.ceil(extent / self.h).astype(np.int64) - 1, 0)
-        self.strides = np.ones(s, dtype=np.int64)
-        self.strides[:-1] = np.cumprod(self.top[:0:-1] + 1)[::-1]
-        flat = np.zeros(N, dtype=np.int64)
-        for a, lo, top in zip(axes, self.lo, self.top):
-            flat *= top + 1
-            flat += np.minimum(np.floor((a - lo) / self.h).astype(np.int64), top)
-        self.start = np.zeros(int(np.prod(self.top + 1)) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(flat, minlength=len(self.start) - 1), out=self.start[1:])
-        # Sorted by cell, then by index, and padded at the end with centers
-        # at infinity, which never win, so that a column of the distance
-        # table may run past the last center.
-        self.order = np.full(N + _CELL_ROW, N)
-        self.order[:N] = np.argsort(flat, kind="stable")
-        self.columns = np.full((s, N + _CELL_ROW), np.inf)
-        for a, column in zip(axes, self.columns):
-            np.take(a, self.order[:N], out=column[:N])
-        self.slack = 1e-9 * (self.h + max(np.abs(self.lo).max(), np.abs(hi).max()))
-
-    def nearest(self, points) -> np.ndarray:
-        """Index of the Euclidean-nearest center to each row of ``points``,
-        the lowest on a tie, searched ``_CELL_QUERIES`` rows at a time."""
-        X = np.asarray(points, dtype=float)
-        if not np.isfinite(X).all():
-            raise ValueError("nearest-center query with a non-finite coordinate")
-        near = np.empty(len(X), dtype=np.intp)
-        for lo in range(0, len(X), _CELL_QUERIES):
-            near[lo:lo + _CELL_QUERIES] = self._nearest(X[lo:lo + _CELL_QUERIES])
-        return near
-
-    def _nearest(self, X) -> np.ndarray:
-        """``nearest`` for one block of rows of ``X``."""
-        axes = np.ascontiguousarray(X.T)
-        Q = axes.shape[1]
-        top = self.top[:, None]
-        home = np.clip(self._cells(axes), 0, top)
-        best = np.full(Q, np.inf)
-        arg = np.full(Q, len(self.centers))
-        R = np.ones(Q, dtype=np.int64)
-        live = np.arange(Q)
-        while len(live):
-            self._cover(axes, live, home[:, live] - R[live], home[:, live] + R[live], best, arg)
-            live = live[arg[live] == len(self.centers)]
-            R[live] *= 2
-        reach = best * (1.0 + 1e-9) + self.slack
-        # Distance to the nearest face of the cube with cells beyond it.
-        below = np.where(home - R > 0, axes - (self.lo[:, None] + (home - R) * self.h), np.inf)
-        above = np.where(home + R < top, self.lo[:, None] + (home + R + 1) * self.h - axes, np.inf)
-        live = np.flatnonzero(np.minimum(below, above).min(axis=0) <= reach)
-        if len(live):
-            x, r = axes[:, live], reach[live]
-            self._cover(axes, live, self._cells(x - r), self._cells(x + r), best, arg)
-        return arg
-
-    def _cells(self, axes) -> np.ndarray:
-        """Cell index of each coordinate of ``axes``, one axis per row,
-        counted from the grid's low corner and not clipped to the grid."""
-        t = np.clip((axes - self.lo[:, None]) / self.h, -2.0**52, 2.0**52)
-        return np.floor(t).astype(np.int64)
-
-    def _cover(self, axes, live, lo, hi, best, arg) -> None:
-        """Search cells ``lo[:, i]`` to ``hi[:, i]``, clipped to the grid, for
-        query ``live[i]``, in blocks of about ``_CELL_BLOCK`` rows of cells."""
-        top = self.top[:, None]
-        lo, hi = np.clip(lo, 0, top), np.clip(hi, 0, top)
-        rows = np.cumsum((hi[:-1] - lo[:-1] + 1).prod(axis=0))
-        a = 0
-        while a < len(live):
-            b = max(a + 1, int(np.searchsorted(rows, rows[a] + _CELL_BLOCK)))
-            self._search(axes, *self._rows(axes, live[a:b], lo[:, a:b], hi[:, a:b], best),
-                         best, arg)
-            a = b
-
-    def _rows(self, axes, live, lo, hi, best):
-        """Runs ``(q, first cell, stop cell)`` of cells ``lo[:, i]`` to
-        ``hi[:, i]`` for query ``live[i]``, one row along the last axis per
-        prefix; rows whose box is farther than the best distance are
-        dropped."""
-        size = hi[:-1] - lo[:-1] + 1
-        count = size.prod(axis=0)
-        row = np.repeat(np.arange(len(live)), count)
-        k = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
-        q = live[row]
-        base = np.zeros(len(row), dtype=np.int64)
-        gap = np.zeros(len(row))
-        for j in range(len(axes) - 1):
-            p = lo[j][row] + k % size[j][row]
-            k //= size[j][row]
-            base += p * self.strides[j]
-            x, near = axes[j][q], self.lo[j] + p * self.h
-            g = np.maximum(np.maximum(near - x, x - (near + self.h)), 0.0)
-            gap += g * g
-        u, v = lo[-1][row], hi[-1][row]
-        x = axes[-1][q]
-        g = np.maximum(np.maximum(self.lo[-1] + u * self.h - x,
-                                  x - (self.lo[-1] + (v + 1) * self.h)), 0.0)
-        keep = np.sqrt(gap + g * g) - self.slack <= best[q] * (1.0 + 1e-9)
-        return q[keep], (base + u)[keep], (base + v + 1)[keep]
-
-    def _search(self, axes, q, first, stop, best, arg) -> None:
-        """Update the best distance and index of query ``q[i]`` over the
-        centers of cells ``first[i]`` up to ``stop[i]``; ``q`` is sorted and
-        ``axes`` holds the query coordinates one axis per row.  A run of
-        centers is compared in columns of ``_CELL_ROW``; the last column of a
-        run may reach into the next cells, whose centers are real (or at
-        infinity), so comparing them too changes no result."""
-        first, stop = self.start[first], self.start[stop]
-        cols = (stop - first + _CELL_ROW - 1) // _CELL_ROW
-        ends = np.cumsum(cols)
-        if not len(ends) or not ends[-1]:
-            return
-        col_q = np.repeat(q, cols)
-        # pos[w, i]: the w-th center of column i.
-        pos = (np.repeat(first - (ends - cols) * _CELL_ROW, cols)
-               + np.arange(0, ends[-1] * _CELL_ROW, _CELL_ROW)) + np.arange(_CELL_ROW)[:, None]
-        sq = d = None
-        for column, x in zip(self.columns, axes):
-            d = np.take(column, pos, out=d)
-            d -= x[col_q]
-            d *= d
-            sq = d.copy() if sq is None else np.add(sq, d, out=sq)
-        dist = np.sqrt(sq, out=sq)
-        lead = np.concatenate(([True], col_q[1:] != col_q[:-1]))
-        head = np.flatnonzero(lead)
-        q = col_q[head]
-        m = np.minimum.reduceat(dist.min(axis=0), head)
-        tied = dist == m[np.cumsum(lead) - 1]
-        i = np.minimum.reduceat(np.where(tied, self.order[pos], len(self.centers)).min(axis=0), head)
-        better = (m < best[q]) | ((m == best[q]) & (i < arg[q]))
-        best[q[better]] = m[better]
-        arg[q[better]] = i[better]
-
-
-def make_net_solver(k: int):
-    """Coverage solver for epsilon-net verification.
-
-    For each sample point (a row of ``X``), stacks the projection /
-    identification chain nodes toward sphere k and the two best candidate
-    centers into one ``(8, s)`` node set with a validity mask: the sample,
-    its ladder ``{1, m, m+1, k, k+1}`` (``a_m <= |x| < a_{m+1}``, only when
-    ``|x| >= 1``) and the centers nearest to the sample and to its sphere-k
-    projection.  One Dijkstra over all link matrices at once gives each
-    sample's shortest-path upper bound to the nearer center.
-    """
-    ak = harmonic_radius(k)
-
-    def solve(X, centers) -> np.ndarray:
+    def solve(X, net) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        grid = _CenterGrid(centers)
         ctx = euclid_context("std_phi", dim=X.shape[1])
         bounds = np.empty(len(X))
         for lo in range(0, len(X), _NET_ROWS):
-            bounds[lo:lo + _NET_ROWS] = _net_bounds(ctx, X[lo:lo + _NET_ROWS], grid, k, ak)
+            bounds[lo:lo + _NET_ROWS] = _net_bounds(ctx, X[lo:lo + _NET_ROWS], net)
         return bounds
 
     return solve
 
 
-def _net_bounds(ctx: EuclidContext, X, grid: _CenterGrid, k: int, ak: float) -> np.ndarray:
+def _net_bounds(ctx: EuclidContext, X, net) -> np.ndarray:
     """The net solver's bounds for the rows of ``X``, as one stacked solve."""
     S, s = X.shape
     norms = _row_norms(X)
@@ -529,24 +354,18 @@ def _net_bounds(ctx: EuclidContext, X, grid: _CenterGrid, k: int, ak: float) -> 
     m[norms > 1.0] = sphere_bracket(norms[norms > 1.0])
     U = X / np.where(far, norms, 1.0)[:, None]
     ladder = np.sort(np.column_stack([np.ones(S, dtype=int), m, m + 1,
-                                      np.full(S, k), np.full(S, k + 1)]), axis=1)
+                                      np.full(S, net.k), np.full(S, net.k + 1)]), axis=1)
     fresh = np.ones_like(ladder, dtype=bool)
     fresh[:, 1:] = ladder[:, 1:] != ladder[:, :-1]
     radii = _radii_upto(int(ladder.max()))[ladder - 1]
-
-    near = grid.nearest(np.vstack([X, ak * U[far]]))
-    near_x = near[:S]
-    near_z = near_x.copy()
-    near_z[far] = near[S:]
-    centers = grid.centers
+    near_x, near_z = net.candidate_centers(X)
 
     P = np.empty((S, 8, s))
     P[:, 0] = X
     P[:, 1:6] = radii[:, :, None] * U[:, None, :]
-    P[:, 6] = centers[near_x]
-    P[:, 7] = centers[near_z]
-    valid = np.column_stack([np.ones(S, dtype=bool), fresh & far[:, None],
-                             np.ones(S, dtype=bool), far & (near_z != near_x)])
+    P[:, 6] = net.centers[near_x]
+    P[:, 7] = net.centers[near_z]
+    valid = np.column_stack([np.ones(S, dtype=bool), fresh & far[:, None], near_x >= 0, far])
     W = ctx.link_matrix(P)
     W[~(valid[:, :, None] & valid[:, None, :])] = np.inf
     return shortest_paths(W, np.zeros(S, dtype=int))[0][:, 6:].min(axis=1)

@@ -279,10 +279,10 @@ def boundary_map_k_std(rep: BoundaryRepStd) -> np.ndarray:
 SPHERE_SHARE = 0.95
 # The most centres an epsilon net may hold, as ``net_plan`` estimates them.
 # Most of the estimate is the ball net's grid cube, counted whole.  Close to
-# the cap, ``net --samples 10`` peaked at 144 MB RSS in 3-D (epsilon = 0.33,
-# estimated at 1.70 M centres, 0.93 M built), 134 MB in 4-D (0.65: 1.40 M,
-# 0.62 M) and 152 MB in 5-D (0.99: 1.55 M, 0.71 M), so a net at the cap
-# peaks near 0.2 GB.
+# the cap, ``net --samples 10`` peaked at 112 MB RSS in 3-D (epsilon = 0.33,
+# estimated at 1.70 M centres, 0.93 M built), 100 MB in 4-D (0.65: 1.40 M,
+# 0.62 M) and 117 MB in 5-D (0.99: 1.55 M, 0.71 M), so a net at the cap
+# peaks below 0.2 GB.
 MAX_NET_POINTS = 2 * 10**6
 
 
@@ -355,7 +355,7 @@ def net_plan(epsilon: float, s: int) -> NetPlan:
     - inside the ball of radius a_{k+1}, the ball net's eps/2, its half cell
       diagonal;
     - beyond it, for a_m <= |x| < a_{m+1} with m >= k+1, the link costs of
-      the chain x -> a_m u -> a_k u -> the nearest sphere centre: at most
+      the chain x -> a_m u -> a_k u -> the sphere centre of u's cell: at most
       |x| - a_m < 1/(k+2), then 1/(1+a_m) + 1/(1+a_k) (an identified pair,
       weight 0) <= 1/(1+a_{k+1}) + 1/(1+a_k), then d_E <= R, with R =
       ``sphere_net_radius``: for s >= 3 the cube-face half cell diagonal
@@ -438,25 +438,82 @@ def _sphere_net(radius: float, n: int, s: int) -> np.ndarray:
     return net.reshape(-1, s)
 
 
-def _ball_net(radius: float, spacing: float, s: int) -> np.ndarray:
-    """Euclidean ``spacing``-net of the closed ball of the given radius."""
+def _ball_axis(radius: float, spacing: float, s: int):
+    """One axis of the ball net's cubic grid, and the grid's step
+    spacing/sqrt(s), whose half cell diagonal is spacing/2."""
     g = spacing / np.sqrt(s)
-    axis = np.arange(-radius, radius + g, g)
-    mesh = np.stack(np.meshgrid(*([axis] * s), indexing="ij"), axis=-1).reshape(-1, s)
-    return mesh[np.linalg.norm(mesh, axis=1) <= radius + spacing / 2.0]
+    return np.arange(-radius, radius + g, g), g
+
+
+def _ball_net(radius: float, spacing: float, s: int):
+    """Euclidean ``spacing``-net of the closed ball of the given radius: the
+    points of the grid cube of ``_ball_axis`` within radius + spacing/2, in
+    row-major order, and their ascending flat row-major keys in the cube.
+    Squared norms are summed over an open grid one coordinate at a time, as
+    ``np.linalg.norm`` sums a row, so the rows are
+    ``tests/reference.py:ball_net_reference`` bit for bit while only one
+    float cube is built."""
+    axis, _ = _ball_axis(radius, spacing, s)
+    cube = (len(axis),) * s
+    norms = np.zeros(cube)
+    for j in range(s):
+        norms += np.reshape(axis * axis, (-1,) + (1,) * (s - 1 - j))
+    np.sqrt(norms, out=norms)
+    keys = np.flatnonzero(norms <= radius + spacing / 2.0)
+    del norms
+    return np.column_stack([axis[i] for i in np.unravel_index(keys, cube)]), keys
 
 
 @dataclass
 class EpsilonNet:
     """Finite center set whose transformed-metric eps-balls cover all of R^s:
-    every point lies within ``certified_radius`` of a center."""
+    every point lies within ``certified_radius`` of a center.  The centers
+    are the sphere-k net of size ``n`` (``_sphere_net``), then the ball net
+    (``_ball_net``), whose flat grid keys are ``ball_keys``."""
 
     epsilon: float
     k: int
+    n: int
     centers: np.ndarray
     sphere_center_count: int
     certified_radius: float
+    ball_keys: np.ndarray = field(repr=False)
     verification: dict = field(default_factory=dict)
+
+    def candidate_centers(self, X):
+        """The two centers the certificate names for each row x of ``X``, as
+        indices into ``centers``, found from the nets' layout:
+
+        - the ball net's grid point of x's cell (x's coordinates rounded to
+          the grid), within eps/2 of x, or -1 where it is not a center;
+        - the sphere-k center of the cell of x's direction u, within
+          ``sphere_net_radius`` of a_k u: in 2-D the nearest of the n
+          angles; for s >= 3 the cell that holds u/|u|_inf on the cube face
+          of u's largest coordinate in magnitude (at x = 0, a cell of the
+          first axis's +1 face).
+        """
+        X = np.asarray(X, dtype=float)
+        rows, s = X.shape
+        n = self.n
+        if s == 2:
+            turn = np.rint(np.arctan2(X[:, 1], X[:, 0]) * (n / (2.0 * np.pi)))
+            sphere = turn.astype(np.int64) % n
+        else:
+            j = np.argmax(np.abs(X), axis=1)
+            top = X[np.arange(rows), j]
+            Y = X[np.arange(s) != j[:, None]].reshape(rows, s - 1)
+            Y /= np.where(top == 0.0, 1.0, np.abs(top))[:, None]
+            cells = np.clip(np.floor((Y + 1.0) * (n / 2.0)), 0, n - 1).astype(np.int64)
+            face = 2 * j + (top >= 0.0)
+            sphere = face * n ** (s - 1) + np.ravel_multi_index(tuple(cells.T), (n,) * (s - 1))
+        axis, g = _ball_axis(harmonic_radius(self.k + 1), self.epsilon, s)
+        grid = np.rint((X - axis[0]) / g)
+        inside = np.all((grid >= 0) & (grid < len(axis)), axis=1)
+        grid = np.where(inside[:, None], grid, 0).astype(np.int64)
+        key = np.ravel_multi_index(tuple(grid.T), (len(axis),) * s)
+        at = np.minimum(np.searchsorted(self.ball_keys, key), len(self.ball_keys) - 1)
+        hit = inside & (self.ball_keys[at] == key)
+        return np.where(hit, self.sphere_center_count + at, -1), sphere
 
 
 def epsilon_net(
@@ -472,30 +529,33 @@ def epsilon_net(
     ``net_plan`` chooses, union a Euclidean eps-net of the ball of radius
     a_{k+1}; Euclidean nets suffice because the transform never exceeds
     d_E.  Every point of R^s lies within the plan's certified radius of a
-    center.  ``solver(X, centers) -> upper bounds``, when provided,
-    cross-checks the certificate's implementation for ``samples`` points at
-    once, drawn with uniform norm up to a_200 and uniform direction.  A net
+    center.  ``solver(X, net) -> upper bounds``, when provided, cross-checks
+    the certificate's implementation for ``samples`` points at once, drawn
+    with uniform norm up to a_200 and uniform direction, by pricing chains
+    to the two centers ``EpsilonNet.candidate_centers`` names for each.  A net
     too large to build is a ValueError, raised before anything is built.
     """
     plan = net_plan(epsilon, s)
     plan.check()
     k = plan.k
     sphere_centers = _sphere_net(harmonic_radius(k), plan.n, s)
-    ball_centers = _ball_net(harmonic_radius(k + 1), epsilon, s)
+    ball_centers, ball_keys = _ball_net(harmonic_radius(k + 1), epsilon, s)
     centers = np.vstack([sphere_centers, ball_centers])
     net = EpsilonNet(
         epsilon=epsilon,
         k=k,
+        n=plan.n,
         centers=centers,
         sphere_center_count=len(sphere_centers),
         certified_radius=plan.certified_radius,
+        ball_keys=ball_keys,
     )
     if solver is not None:
         rng = rng or np.random.default_rng(0)
         dirs = rng.normal(size=(samples, s))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         norms = rng.uniform(0.0, harmonic_radius(200), size=samples)
-        bounds = solver(norms[:, None] * dirs, centers)
+        bounds = solver(norms[:, None] * dirs, net)
         net.verification = {
             "epsilon": epsilon,
             "k": k,

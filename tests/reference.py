@@ -8,9 +8,9 @@ of rays at a time, a sample built one direction
 and one sphere at a time, one bisection per point for the ray base and
 one bisection of all points at once, a binary-heap Dijkstra per source,
 a sample graph's whole link matrix and the shortest path through it,
-one shortest-path solve per epsilon-net sample, a whole-cube grid for the
-3-D sphere net, a brute-force nearest-center search and one triangle check
-per pivot.  They exist only
+one shortest-path solve per epsilon-net sample, a scan of the net's centers
+for the cells that hold a point, whole-cube grids for the sphere and ball
+nets and one triangle check per pivot.  They exist only
 so the tests can hold the kernels to them.
 """
 from __future__ import annotations
@@ -368,31 +368,60 @@ def verify_metric_axioms_reference(matrix) -> AxiomReport:
 
 def net_solver_reference(k: int):
     """Per-sample epsilon-net coverage solve: the sample, its ladder toward
-    sphere k and its two candidate centers, one link matrix and one heap
-    Dijkstra per call; returns the bound to the nearer center."""
-    ak = harmonic_radius(k)
+    sphere k and its candidate centers ``near`` (ball index, -1 for none,
+    and sphere index), one link matrix and one heap Dijkstra per call;
+    returns the bound to the nearer center."""
 
-    def solve(x, centers) -> float:
+    def solve(x, centers, near) -> float:
         x = np.asarray(x, dtype=float)
         n = float(np.linalg.norm(x))
         pts = [x]
-        cand = [int(np.argmin(np.linalg.norm(centers - x, axis=1)))]
+        cand = [int(near[0])] if near[0] >= 0 else []
         if n >= 1.0:
             u = x / n
             m = sphere_bracket(n) if n > 1.0 else 1
             ladder = {1, m, m + 1, k, k + 1}
             for j in sorted(ladder):
                 pts.append(harmonic_radius(j) * u)
-            z = ak * u
-            cand.append(int(np.argmin(np.linalg.norm(centers - z, axis=1))))
+            cand.append(int(near[1]))
         first_center = len(pts)
-        for c in dict.fromkeys(cand):
+        for c in cand:
             pts.append(np.asarray(centers[c], dtype=float))
         ctx = euclid_context("std_phi", dim=len(x))
         dist, _ = dijkstra_reference(ctx.link_matrix(np.array(pts)), 0)
-        return float(dist[first_center:].min())
+        return float(dist[first_center:].min(initial=np.inf))
 
     return solve
+
+
+def net_cells_reference(x, sphere, ball, n: int, g: float, slack: float = 0.0):
+    """Which centers' cells hold the point ``x``, by a scan of the centers:
+    two boolean vectors, over the sphere net ``sphere`` of size n and over
+    the ball net ``ball`` of grid step g.  A ball center's cell is the cube
+    of side g around it.  A sphere center's cell is, in 2-D, the arc of
+    angles within pi/n of its own; for s >= 3, the cell of side 2/n on its
+    cube face around its image q/|q|_inf, and it holds x when x/|x|_inf
+    lies in it on that face.  Every sphere cell holds x = 0.  Each cell is
+    widened by ``slack`` of its half width, or narrowed when ``slack`` is
+    negative."""
+    x = np.asarray(x, dtype=float)
+    gap = np.abs(ball - x).max(axis=1)
+    in_ball = gap <= (1.0 + slack) * g / 2.0
+    top = np.abs(x).max()
+    if top == 0.0:
+        return np.ones(len(sphere), dtype=bool), in_ball
+    if len(x) == 2:
+        turn = np.arctan2(x[1], x[0]) - np.arctan2(sphere[:, 1], sphere[:, 0])
+        turn = np.abs((turn + np.pi) % (2.0 * np.pi) - np.pi)
+        return turn <= (1.0 + slack) * np.pi / n, in_ball
+    # q's face: its coordinate j largest in magnitude, where x's image
+    # must lie too; there both images read sign(q_j).
+    face = np.abs(sphere).max(axis=1)
+    j = np.argmax(np.abs(sphere), axis=1)
+    on_face = np.sign(sphere[np.arange(len(sphere)), j]) * x[j] >= top
+    offset = np.abs(x / top - sphere / face[:, None]).max(axis=1)
+    in_sphere = on_face & (offset <= (1.0 + slack) / n)
+    return in_sphere, in_ball
 
 
 def sphere_net_reference(radius: float, n: int, s: int) -> np.ndarray:
@@ -419,17 +448,11 @@ def sphere_net_reference(radius: float, n: int, s: int) -> np.ndarray:
     return np.array(rows)
 
 
-def nearest_center_reference(points, centers) -> np.ndarray:
-    """Index of the Euclidean-nearest center to each row of ``points``, the
-    first on a tie, by brute force: squares summed one coordinate at a time,
-    as in ``np.linalg.norm(centers - x, axis=1)``."""
-    points = np.asarray(points, dtype=float)
-    centers = np.asarray(centers, dtype=float)
-    nearest = np.empty(len(points), dtype=np.intp)
-    for i, x in enumerate(points):
-        sq = np.zeros(len(centers))
-        for j in range(len(x)):
-            d = centers[:, j] - x[j]
-            sq += d * d
-        nearest[i] = np.sqrt(sq).argmin()
-    return nearest
+def ball_net_reference(radius: float, spacing: float, s: int) -> np.ndarray:
+    """The ball net as a whole grid cube: every point of the meshgrid of the
+    net's axis, kept when its ``np.linalg.norm`` is within radius +
+    spacing/2."""
+    g = spacing / np.sqrt(s)
+    axis = np.arange(-radius, radius + g, g)
+    mesh = np.stack(np.meshgrid(*([axis] * s), indexing="ij"), axis=-1).reshape(-1, s)
+    return mesh[np.linalg.norm(mesh, axis=1) <= radius + spacing / 2.0]

@@ -175,12 +175,12 @@ def test_criterion_07_epsilon_net():
     start = time.perf_counter()
     k = net_index(0.99)
     assert k == 12
-    solver = make_net_solver(k)
+    solver = make_net_solver()
     calls = []
 
-    def counted(X, centers):
+    def counted(X, net):
         calls.append(X.shape)
-        return solver(X, centers)
+        return solver(X, net)
 
     net = epsilon_net(0.99, 2, solver=counted, samples=10_000,
                       rng=np.random.default_rng(70))

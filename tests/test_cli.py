@@ -16,9 +16,10 @@ from chainmetric.core import certificate, delta as link_cost, lower_bound_certif
 from chainmetric.finite import FiniteSpace, link_table
 from chainmetric.sampler import euclid_context
 from chainmetric.rays import ConeParam, ray_through
-from chainmetric.std_map import M_MAX_DEFAULT, EpsilonNet, _ball_net, harmonic_radius, net_plan
+from chainmetric.std_map import M_MAX_DEFAULT, EpsilonNet, harmonic_radius, net_plan
 from conftest import random_finite_space
-from reference import (dijkstra_reference, link_table_reference, net_solver_reference,
+from reference import (ball_net_reference, dijkstra_reference, link_table_reference,
+                       net_cells_reference, net_solver_reference,
                        ray_distance_reference, ray_of_reference, sphere_net_reference)
 
 
@@ -252,19 +253,26 @@ def expected_oracle_stdout(space):
 
 
 def expected_net_stdout(epsilon, dim, samples, seed):
-    """``net`` stdout rebuilt from the reference sphere net of the planned
-    size, the ball net, the per-sample reference solver and the
+    """``net`` stdout rebuilt from the reference sphere and ball nets of the
+    planned size, the candidate centers a scan of them finds (the first
+    whose cell holds the sample), the per-sample reference solver and the
     certificate."""
     plan = net_plan(epsilon, dim)
     k = plan.k
-    centers = np.vstack([sphere_net_reference(harmonic_radius(k), plan.n, dim),
-                         _ball_net(harmonic_radius(k + 1), epsilon, dim)])
+    sphere = sphere_net_reference(harmonic_radius(k), plan.n, dim)
+    ball = ball_net_reference(harmonic_radius(k + 1), epsilon, dim)
+    centers = np.vstack([sphere, ball])
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(samples, dim))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     X = rng.uniform(0.0, harmonic_radius(200), size=samples)[:, None] * dirs
     solve = net_solver_reference(k)
-    bounds = [solve(x, centers) for x in X]
+    bounds = []
+    for x in X:
+        in_sphere, in_ball = net_cells_reference(x, sphere, ball, plan.n, epsilon / np.sqrt(dim))
+        near = (len(sphere) + int(np.argmax(in_ball)) if in_ball.any() else -1,
+                int(np.argmax(in_sphere)))
+        bounds.append(solve(x, centers, near))
     row = "%d," + ",".join(["%.17g"] * dim)
     lines = [f"# epsilon-net k={k} centers={len(centers)}"]
     lines += [row % (i, *c) for i, c in enumerate(centers.tolist())]
@@ -385,8 +393,9 @@ class TestNet:
 
         def no_net(epsilon, s, solver=None, samples=0, rng=None):
             asked.append(samples)  # a stand-in: nothing is drawn or allocated
-            return EpsilonNet(epsilon=epsilon, k=1, centers=np.zeros((0, s)),
-                              sphere_center_count=0, certified_radius=0.0)
+            return EpsilonNet(epsilon=epsilon, k=1, n=1, centers=np.zeros((0, s)),
+                              sphere_center_count=0, certified_radius=0.0,
+                              ball_keys=np.zeros(0, dtype=np.int64))
 
         monkeypatch.setattr("chainmetric.cli.epsilon_net", no_net)
         args = ["net", "--epsilon", "0.9", "--no-verify", "--samples"]

@@ -1,8 +1,8 @@
 """The batched kernels (the finite link table, sphere classification,
 coordinate-at-a-time distances, the ray field, its inversion and ray separation, the
 structured sample, shortest paths, link-cost rows priced on demand, stacked
-link costs, the epsilon-net solver, nearest-center search, sphere net and the
-triangle screen of the axiom check) against their loop-per-element
+link costs, the epsilon-net solver, the net's candidate-center lookup, the
+sphere and ball nets and the triangle screen of the axiom check) against their loop-per-element
 references, the scalar link cost ``core.delta`` and the brute-force oracle."""
 import functools
 
@@ -18,7 +18,6 @@ from chainmetric.rays import (ConeParam, Ray, h_pq_ray, ray_bases, ray_crossings
                               ray_directions, ray_distance, ray_distances, ray_of)
 from chainmetric.sampler import (
     SamplerConfig,
-    _CenterGrid,
     _level_config,
     _merge,
     _row_norms,
@@ -30,6 +29,8 @@ from chainmetric.sampler import (
 )
 from chainmetric.std_map import (
     TAU,
+    _ball_axis,
+    _ball_net,
     _sphere_net,
     coordinate_distances,
     epsilon_net,
@@ -42,11 +43,12 @@ from chainmetric.std_map import (
 from conftest import random_finite_space
 from reference import (
     approx_dphi_reference,
+    ball_net_reference,
     build_sample_reference,
     dijkstra_reference,
     link_matrix_reference,
     link_table_reference,
-    nearest_center_reference,
+    net_cells_reference,
     net_solver_reference,
     ray_crossing_reference,
     ray_distance_reference,
@@ -666,15 +668,15 @@ class TestAxiomScreen:
 
 
 @functools.lru_cache(maxsize=None)
-def cached_net_centers(epsilon: float, dim: int) -> np.ndarray:
-    return epsilon_net(epsilon, dim).centers
+def cached_net(epsilon: float, dim: int):
+    return epsilon_net(epsilon, dim)
 
 
 @st.composite
 def net_samples(draw, dim, k, centers):
     """Sample rows for the net solver: random norms up to a_200 and the edge
     cases below 1, exactly 1, exactly on a sphere, and on a center of sphere
-    k, where both candidate centers coincide."""
+    k."""
     rng = np.random.default_rng(draw(seeds))
     count = draw(st.integers(1, 12))
     U = random_directions(rng, count, dim)
@@ -698,144 +700,125 @@ def net_samples(draw, dim, k, centers):
 
 
 class TestStackedNetSolver:
+    """The stacked solve against one reference solve per sample, both given
+    the candidate centers of ``EpsilonNet.candidate_centers``, which
+    ``TestNetCandidates`` holds to a scan of the centers."""
+
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(data=st.data(), net=st.sampled_from([(2, 0.99), (2, 0.9), (2, 0.8),
-                                                (3, 0.99), (3, 0.9), (3, 0.8)]))
-    def test_bit_equal_to_per_sample_reference(self, data, net):
-        dim, epsilon = net
-        centers = cached_net_centers(epsilon, dim)
-        k = net_index(epsilon)
-        X = data.draw(net_samples(dim, k, centers))
-        reference = net_solver_reference(k)
-        expected = [reference(x, centers) for x in X]
-        assert make_net_solver(k)(X, centers).tolist() == expected
+    @given(data=st.data(), case=st.sampled_from([(2, 0.99), (2, 0.9), (2, 0.8),
+                                                 (3, 0.99), (3, 0.9), (3, 0.8)]))
+    def test_bit_equal_to_per_sample_reference(self, data, case):
+        dim, epsilon = case
+        net = cached_net(epsilon, dim)
+        X = data.draw(net_samples(dim, net.k, net.centers))
+        reference = net_solver_reference(net.k)
+        near = np.column_stack(net.candidate_centers(X))
+        expected = [reference(x, net.centers, c) for x, c in zip(X, near)]
+        assert make_net_solver()(X, net).tolist() == expected
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_blocks_do_not_change_bounds(self, dim, monkeypatch):
-        k = net_index(0.99)
-        centers = cached_net_centers(0.99, dim)
+        net = cached_net(0.99, dim)
         rng = np.random.default_rng(dim)
         X = random_directions(rng, 40, dim) * rng.uniform(0.0, 8.0, size=(40, 1))
-        expected = make_net_solver(k)(X, centers)
+        expected = make_net_solver()(X, net)
         monkeypatch.setattr("chainmetric.sampler._NET_ROWS", 7)
-        assert np.array_equal(make_net_solver(k)(X, centers), expected)
+        assert np.array_equal(make_net_solver()(X, net), expected)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_norm_beyond_the_cap_raises(self, dim):
-        centers = cached_net_centers(0.99, dim)
+        net = cached_net(0.99, dim)
         X = np.zeros((3, dim))
         X[1, 0] = 20.0  # a_{10^6} is about 14.39
         with pytest.raises(ValueError, match="beyond sphere index cap"):
-            make_net_solver(12)(X, centers)
+            make_net_solver()(X, net)
         with pytest.raises(ValueError, match="beyond sphere index cap"):
-            net_solver_reference(12)(X[1], centers)
+            net_solver_reference(net.k)(X[1], net.centers, (-1, 0))
 
 
 @st.composite
-def center_sets(draw):
-    """Centers in 2-D to 5-D: a dyadic lattice (whose midpoints tie
-    exactly), a Gaussian cloud, a sphere net with a ball grid inside, one
-    center, or a few centers each repeated."""
-    dim = draw(st.integers(2, 5))
+def lookup_points(draw, net, dim):
+    """Points for the candidate-center lookup: random norms up to a_200, the
+    origin, norms below 1 and exactly a_k and a_{k+1}; directions on cube
+    edges and vertices (two or all coordinates equal in magnitude) and on
+    boundaries of the sphere net's cells; and points on boundaries of the
+    ball net's cells."""
     rng = np.random.default_rng(draw(seeds))
-    kind = draw(st.sampled_from(["lattice", "cloud", "net", "one", "repeated"]))
-    if kind == "lattice":
-        side = [3, 4, 5, 7, 9, 13][min(5, draw(st.integers(0, 4 * (6 - dim))) // 2)]
-        axis = (np.arange(side) - side // 2) * 2.0 ** draw(st.integers(-3, 1))
-        C = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
-        C = C[rng.permutation(len(C))[:draw(st.integers(2, len(C)))]]
-    elif kind == "cloud":
-        C = rng.normal(size=(draw(st.integers(2, 400)), dim)) * 10.0 ** draw(st.integers(-2, 2))
-    elif kind == "net":
-        radius = harmonic_radius(draw(st.integers(2, 12)))
-        C = np.vstack([_sphere_net(radius, 3, dim),
-                       rng.integers(-3, 4, size=(30, dim)) * (radius / 3.0)])
-    elif kind == "one":
-        C = rng.normal(size=(1, dim))
-    else:
-        C = np.repeat(rng.normal(size=(draw(st.integers(1, 6)), dim)), 3, axis=0)
-        C = C[rng.permutation(len(C))]
-    return C
-
-
-@st.composite
-def nearest_queries(draw, centers):
-    """Queries around and far outside the centers' box (norms up to a_200
-    and beyond), midpoints of two centers, the centers themselves and
-    points on the boundaries of the grid's cells."""
-    rng = np.random.default_rng(draw(seeds))
-    dim = centers.shape[1]
-    grid = _CenterGrid(centers)
-    count = draw(st.integers(1, 40))
-    box = np.abs(centers).max() + 1.0
+    count = draw(st.integers(1, 6))
+    n, k = net.n, net.k
     U = random_directions(rng, count, dim)
-    pick = lambda n: centers[rng.integers(len(centers), size=n)]
+    norms = lambda: rng.uniform(0.0, harmonic_radius(200), size=(count, 1))
+    edges = U.copy()
+    i, j = rng.choice(dim, size=2, replace=False)
+    edges[:, j] = np.sign(edges[:, j]) * np.abs(edges[:, i])
+    vertices = rng.choice([-1.0, 1.0], size=(count, dim))
+    if dim == 2:
+        angles = (rng.integers(0, n, size=count) + 0.5) * (2.0 * np.pi / n)
+        walls = np.column_stack([np.cos(angles), np.sin(angles)])
+    else:
+        walls = -1.0 + 2.0 * rng.integers(0, n + 1, size=(count, dim)) / n
+        pick = rng.random(size=(count, dim)) < 0.5
+        walls = np.where(pick, walls, rng.uniform(-1.0, 1.0, size=(count, dim)))
+        walls[np.arange(count), rng.integers(0, dim, size=count)] = rng.choice([-1.0, 1.0], count)
+    axis, g = _ball_axis(harmonic_radius(k + 1), net.epsilon, dim)
+    lattice = axis[rng.integers(0, len(axis), size=(count, dim))]
+    half = lattice + np.where(rng.random(size=(count, dim)) < 0.5, g / 2.0, 0.0)
     kinds = [
-        U * rng.uniform(0.0, 2.0 * box, size=(count, 1)),
-        U * rng.uniform(0.0, harmonic_radius(200), size=(count, 1)),
-        U * 10.0 ** rng.uniform(1.0, 6.0, size=(count, 1)) * box,
-        0.5 * (pick(count) + pick(count)),
-        pick(count),
-        grid.lo + rng.integers(-3, grid.top.max() + 4, size=(count, dim)) * grid.h,
+        U * norms(),
+        np.zeros((1, dim)),
+        U * rng.uniform(0.0, 1.0, size=(count, 1)),
+        harmonic_radius(k) * U,
+        harmonic_radius(k + 1) * U,
+        edges * norms(),
+        vertices * norms(),
+        walls * norms(),
+        harmonic_radius(k) * walls / np.linalg.norm(walls, axis=1)[:, None],
+        half,
     ]
     chosen = draw(st.lists(st.integers(0, len(kinds) - 1), min_size=1, max_size=4, unique=True))
-    return np.vstack([kinds[i] for i in chosen])
+    return np.vstack([kinds[c] for c in chosen])
 
 
-class TestNearestCenter:
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(data=st.data(), centers=center_sets())
-    def test_bit_equal_to_brute_force(self, data, centers):
-        X = data.draw(nearest_queries(centers))
-        assert _CenterGrid(centers).nearest(X).tolist() == \
-            nearest_center_reference(X, centers).tolist()
+class TestNetCandidates:
+    """``EpsilonNet.candidate_centers`` against a scan of the centers: its
+    sphere center's cell holds the point's direction, and its ball center's
+    cell holds the point, or no ball center's cell holds it inside."""
 
-    def test_lowest_index_wins_an_exact_tie(self):
-        centers = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        X = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
-        assert _CenterGrid(centers).nearest(X).tolist() == [0, 1, 1, 1]
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), case=st.sampled_from([(2, 0.99), (2, 0.8), (3, 0.99), (3, 0.8),
+                                                 (4, 0.9), (5, 0.99)]))
+    def test_cells_hold_the_point(self, data, case):
+        dim, epsilon = case
+        net = cached_net(epsilon, dim)
+        X = data.draw(lookup_points(net, dim))
+        count = net.sphere_center_count
+        sphere, ball = net.centers[:count], net.centers[count:]
+        g = _ball_axis(harmonic_radius(net.k + 1), epsilon, dim)[1]
+        for x, b, q in zip(X, *net.candidate_centers(X)):
+            in_sphere, in_ball = net_cells_reference(x, sphere, ball, net.n, g, slack=1e-9)
+            assert 0 <= q < count and in_sphere[q]
+            if b >= 0:
+                assert in_ball[b - count]
+            else:
+                assert not net_cells_reference(x, sphere, ball, net.n, g, slack=-1e-9)[1].any()
 
-    def test_lowest_index_wins_a_tie_across_rings(self, monkeypatch):
-        # Cells of side 1 from the origin: the query sits at the center of
-        # cell (5, 5); center 1 lies in its first cube of cells, center 0
-        # beyond it, at the same distance sqrt(3.125).  The centers at
-        # x = 7.5 make the cells that small.
-        monkeypatch.setattr("chainmetric.sampler._CELL_FILL", 0.12)
-        between = [[7.5, y] for y in (0.25, 0.75, 1.25, 1.75, 2.25, 2.75, 3.25, 3.75)]
-        centers = np.array([[7.25, 5.75], [6.75, 6.75], [0.0, 0.0], [10.0, 10.0], *between])
-        grid = _CenterGrid(centers)
-        assert grid.h == 1.0
-        assert grid.nearest(np.array([[5.5, 5.5]])).tolist() == [0]
 
-    def test_nearest_center_beyond_a_doubled_cube(self, monkeypatch):
-        # Cells of side 1 from the origin.  Query 0 sits in the corner cell
-        # (9, 9), and the cube of cells 8-9 around it is empty.  The doubled
-        # cube (cells 7-9) holds center 3 at distance 2.4 * sqrt(2), but
-        # center 4, in cell (6, 9) beyond it, is nearer at 2.6.  Query 1
-        # sits in cell (2, 5): its cube (cells 1-3 by 4-6) holds center 5
-        # at 1.3, and only the cube's face at x = 1 lies nearer than that;
-        # center 6, in cell (0, 5) beyond it, is nearer at 1.15.
-        monkeypatch.setattr("chainmetric.sampler._CELL_FILL", 0.063)
-        centers = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [7.1, 7.1], [6.9, 9.5],
-                            [2.1, 6.8], [0.95, 5.5]])
-        X = np.array([[9.5, 9.5], [2.1, 5.5]])
-        grid = _CenterGrid(centers)
-        assert grid.h == 1.0
-        assert grid.nearest(X).tolist() == nearest_center_reference(X, centers).tolist() == [4, 6]
-
-    def test_one_center(self):
-        X = np.array([[0.0, 0.0], [1e6, -1e6], [2.0, 3.0]])
-        assert _CenterGrid(np.array([[2.0, 3.0]])).nearest(X).tolist() == [0, 0, 0]
-
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_blocks_do_not_change_the_result(self, dim, monkeypatch):
-        centers = cached_net_centers(0.99, dim)
-        rng = np.random.default_rng(dim)
-        X = random_directions(rng, 60, dim) * rng.uniform(0.0, 8.0, size=(60, 1))
-        expected = _CenterGrid(centers).nearest(X)
-        monkeypatch.setattr("chainmetric.sampler._CELL_QUERIES", 7)
-        monkeypatch.setattr("chainmetric.sampler._CELL_BLOCK", 5)
-        assert np.array_equal(_CenterGrid(centers).nearest(X), expected)
+class TestBallNet:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=st.one_of(st.tuples(st.just(2), st.floats(1.0, 8.0)),
+                          st.tuples(st.just(3), st.floats(1.0, 5.0)),
+                          st.tuples(st.just(4), st.floats(1.0, 3.0)),
+                          st.tuples(st.just(5), st.floats(1.0, 2.0))),
+           epsilon=st.floats(0.6, 0.99))
+    @example(case=(3, harmonic_radius(32)), epsilon=0.8)
+    @example(case=(5, harmonic_radius(13)), epsilon=0.99)
+    def test_bit_equal_to_the_whole_cube(self, case, epsilon):
+        dim, radius = case
+        rows, keys = _ball_net(radius, epsilon, dim)
+        assert np.array_equal(rows, ball_net_reference(radius, epsilon, dim))
+        axis, g = _ball_axis(radius, epsilon, dim)
+        grid = np.rint((rows - axis[0]) / g).astype(np.int64)
+        assert np.array_equal(np.ravel_multi_index(tuple(grid.T), (len(axis),) * dim), keys)
 
 
 class TestSphereNet:

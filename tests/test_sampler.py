@@ -238,12 +238,11 @@ class TestCauchyDecay:
 class TestNetSolver:
     def test_far_point_covered(self):
         eps = 0.99
-        k = net_index(eps)
         from chainmetric.std_map import epsilon_net
 
         net = epsilon_net(eps, 2)
-        solver = make_net_solver(k)
+        solver = make_net_solver()
         x = harmonic_radius(150) * np.array([np.cos(2.0), np.sin(2.0)])
-        bounds = solver(x[None, :], net.centers)
+        bounds = solver(x[None, :], net)
         assert bounds.shape == (1,)
         assert bounds[0] < eps
