@@ -19,19 +19,30 @@ on R^s live in :mod:`chainmetric.sampler`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 
+# A point of a finite space is an index; Python scalars (np.float64 is a
+# float) skip numpy's per-call cost, which dominates ``delta`` on them.
+_SCALARS = (int, float)
+
+
 def _require_finite(x) -> None:
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if isinstance(x, _SCALARS):
+        finite = math.isfinite(x)
+    else:
+        finite = np.all(np.isfinite(np.asarray(x, dtype=float)))
+    if not finite:
         raise ValueError(f"non-finite point rejected: {x!r}")
 
 
 def _order_key(p):
+    if isinstance(p, _SCALARS):
+        return (float(p),)
     return tuple(np.atleast_1d(np.asarray(p, dtype=float)))
 
 
@@ -103,15 +114,16 @@ def delta(ctx: MetricContext, x, y) -> float:
     return min(direct, detour)
 
 
-def link_costs(D: np.ndarray, inv: np.ndarray, weight, rows: slice | None = None) -> np.ndarray:
+def link_costs(D: np.ndarray, inv: np.ndarray, weight,
+               rows: slice | np.ndarray | None = None) -> np.ndarray:
     """All link costs at once: ``D`` holds the base distances ``(..., n, n)``,
     ``inv`` the anchor terms ``1/(1+d(m,x))`` ``(..., n)`` and ``weight`` the
     pair weights (a matrix or a scalar).  Each entry sums ``inv_i + w_ij +
     inv_j`` in ``delta``'s order, so it is bit-equal to ``delta`` on the pair
-    ``(i, j)``; a zero diagonal of ``D`` stays zero.  With the
-    slice ``rows``, ``D`` and ``weight`` hold only those rows
+    ``(i, j)``; a zero diagonal of ``D`` stays zero.  With ``rows``, a slice
+    or an int array, ``D`` and ``weight`` hold only those rows
     ``(..., len(rows), n)``, and so does the result, each row bit-equal to
-    the same row of the whole matrix."""
+    its node's row of the whole matrix."""
     rows = slice(None) if rows is None else rows
     return np.minimum(D, inv[..., rows, None] + weight + inv[..., None, :])
 

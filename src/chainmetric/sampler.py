@@ -68,13 +68,13 @@ class EuclidContext(MetricContext):
             return node_columns(points)
         return node_columns(points, lambda X, norms: identification_bases(X, norms, self.cone))
 
-    def link_matrix(self, nodes, rows: Optional[slice] = None) -> np.ndarray:
-        """Link costs from the nodes in the slice ``rows`` (all by default) of
-        a node set to all of its nodes, shape ``(len(rows), n)``; ``nodes`` is
-        the set's points ``(n, s)`` or their ``columns``.  Each row is
-        bit-equal to the same row of the whole matrix, and a stack of node
-        sets ``(..., n, s)`` gives one matrix per set, ``(..., n, n)``, each
-        bit-equal to the call on its own set."""
+    def link_matrix(self, nodes, rows: slice | np.ndarray | None = None) -> np.ndarray:
+        """Link costs from the nodes ``rows`` (a slice or an int array; all by
+        default) of a node set to all of its nodes, shape ``(len(rows), n)``;
+        ``nodes`` is the set's points ``(n, s)`` or their ``columns``.  Each
+        row is bit-equal to its node's row of the whole matrix, and a stack of
+        node sets ``(..., n, s)`` gives one matrix per set, ``(..., n, n)``,
+        each bit-equal to the call on its own set."""
         cols = nodes if isinstance(nodes, NodeColumns) else self.columns(nodes)
         block = cols if rows is None else cols.take(rows)
         D, base_dist = cols.distances(block)
@@ -116,11 +116,11 @@ class NodeSet:
 
 
 # The most nodes a sample graph may hold.  A graph's memory is O(n): its
-# search prices one row of n link costs per node it settles, so whole
-# `converge` runs over a 4846-node 2-D sample and a 4014-node 3-D one peak
-# at 33 MB and 39 MB resident (the dense n x n link matrices they used to
-# build peaked at 830 MB and 622 MB).  The cap now bounds time, about 0.5 s
-# for such a graph, rather than memory.
+# search prices blocks of at most max(n, finite._ROW_BUDGET) link costs, so
+# whole `converge` runs over a 4846-node 2-D sample and a 4014-node 3-D one
+# peak at 33 MB and 39 MB resident (the dense n x n link matrices they used
+# to build peaked at 830 MB and 622 MB).  The cap bounds time, about 0.15 s
+# for the 4846-node run, rather than memory.
 MAX_NODES = 5000
 
 
@@ -240,9 +240,9 @@ def build_sample(
 
 @dataclass
 class SampleGraph:
-    """Complete link-cost graph over a node set, priced a row at a time from
-    the nodes' columns; shortest paths certify upper bounds, and every extra
-    pair can only tighten them."""
+    """Complete link-cost graph over a node set, priced a block of rows at a
+    time from the nodes' columns; shortest paths certify upper bounds, and
+    every extra pair can only tighten them."""
 
     nodes: NodeSet
     context: EuclidContext = field(repr=False)
@@ -250,9 +250,10 @@ class SampleGraph:
     # A class constant, not a field: perfbench's build_graph counter reads it.
     mode = "complete"
 
-    def link_row(self, i: int) -> np.ndarray:
-        """Link costs from node ``i`` to every node."""
-        return self.context.link_matrix(self.columns, slice(i, i + 1))[0]
+    def link_rows(self, block) -> np.ndarray:
+        """Link costs from the nodes ``block`` (a slice or an int array) to
+        every node, shape ``(len(block), n)``."""
+        return self.context.link_matrix(self.columns, block)
 
     def node_index(self, x) -> int:
         x = np.asarray(x, dtype=float)
@@ -273,12 +274,13 @@ def build_graph(ctx: EuclidContext, nodes: NodeSet) -> SampleGraph:
 
 def approx_dphi(graph: SampleGraph, x, y) -> tuple[float, Chain]:
     """Shortest-path upper bound between two graph nodes, with the realizing
-    node chain as witness; only the rows of the nodes the search settles are
-    priced."""
+    node chain as witness; the search prices rows in growing blocks of the
+    nodes it is about to settle (:func:`finite.shortest_path`), never the
+    whole link matrix."""
     i, j = graph.node_index(x), graph.node_index(y)
     if i == j:
         return 0.0, Chain([graph.nodes.points[i], graph.nodes.points[j]])
-    dist, pred = shortest_path(graph.link_row, len(graph.nodes), i, j)
+    dist, pred = shortest_path(graph.link_rows, len(graph.nodes), i, j)
     if not np.isfinite(dist[j]):
         raise RuntimeError("graph is disconnected between the query endpoints")
     path = [j]

@@ -255,9 +255,10 @@ def ray_bases_reference(Y, cone: ConeParam) -> np.ndarray:
     return bases
 
 
-def dijkstra_reference(W: np.ndarray, source: int):
+def dijkstra_reference(W: np.ndarray, source: int, settled: list | None = None):
     """Binary-heap Dijkstra over a dense cost matrix (``inf`` = no edge);
-    returns distances and predecessors (-1 where there is none)."""
+    returns distances and predecessors (-1 where there is none), and appends
+    the nodes to ``settled`` in the order it settles them."""
     n = len(W)
     dist = np.full(n, np.inf)
     pred = np.full(n, -1, dtype=int)
@@ -269,6 +270,8 @@ def dijkstra_reference(W: np.ndarray, source: int):
         if done[u]:
             continue
         done[u] = True
+        if settled is not None:
+            settled.append(u)
         for v in range(n):
             if done[v] or not np.isfinite(W[u, v]):
                 continue

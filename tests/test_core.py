@@ -3,6 +3,7 @@ import pytest
 
 from chainmetric.core import (
     Chain,
+    MetricContext,
     certificate,
     chain_cost,
     delta,
@@ -46,6 +47,26 @@ class TestDelta:
             delta(ctx, np.array([np.nan, 0.0]), np.array([0.0, 0.0]))
         with pytest.raises(ValueError):
             delta(ctx, np.array([0.0, 0.0]), np.array([np.inf, 1.0]))
+
+    @pytest.mark.parametrize("kind", [int, float, np.float64, np.int64])
+    def test_scalar_points_price_as_one_coordinate_arrays(self, kind):
+        # Points on the real line with an asymmetric weight, so the value
+        # depends on the order that weight_sym gives the pair.
+        ctx = MetricContext(base_distance=lambda x, y: abs(float(np.sum(x)) - float(np.sum(y))),
+                            weight=lambda x, y: float(np.sum(x)) + 2.0 * float(np.sum(y)),
+                            anchor=0.0)
+        for x, y in [(3, -2), (-7, 5), (4, 4), (0, 9)]:
+            expected = delta(ctx, np.array([float(x)]), np.array([float(y)]))
+            assert delta(ctx, kind(x), kind(y)) == expected
+            assert delta(ctx, kind(y), kind(x)) == expected
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
+    def test_rejects_non_finite_scalars(self, bad):
+        ctx = zero_weight_context(dim=1)
+        with pytest.raises(ValueError, match="non-finite point rejected"):
+            delta(ctx, bad, 0.0)
+        with pytest.raises(ValueError, match="non-finite point rejected"):
+            delta(ctx, 1, bad)
 
 
 class TestChainCost:

@@ -5,12 +5,14 @@ link costs, the epsilon-net solver, the net's candidate-center lookup, the
 sphere and ball nets and the triangle screen of the axiom check) against their loop-per-element
 references, the scalar link cost ``core.delta`` and the brute-force oracle."""
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chainmetric import finite
 from chainmetric.core import AXIOM_TOL, delta as link_cost, verify_metric_axioms
 from chainmetric.finite import (FiniteSpace, dphi_bruteforce, dphi_exact, link_table,
                                 shortest_path, shortest_paths)
@@ -447,8 +449,9 @@ def row_endpoints(draw, dim, weight, cone):
     return [x, y] if draw(st.booleans()) else [y, x]
 
 
-def sample_configs(data, spheres=5):
-    """A small 2-D or 3-D sampler config with up to ``spheres`` spheres."""
+def sample_configs(data, spheres=5, dims=dims):
+    """A small sampler config with up to ``spheres`` spheres, 2-D or 3-D
+    unless ``dims`` draws other dimensions."""
     return SamplerConfig(
         dimension=data.draw(dims, label="dim"),
         max_sphere_index=data.draw(st.integers(1, spheres)),
@@ -462,7 +465,7 @@ class TestPricedRows:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(data=st.data(), weight=st.sampled_from(["std_phi", "ray_psi"]), delta=deltas)
     def test_each_row_bit_equal_to_the_dense_reference(self, data, weight, delta):
-        config = sample_configs(data)
+        config = sample_configs(data, dims=st.integers(2, 4))
         dim = config.dimension
         cone = ConeParam(delta=delta, dim=dim)
         ctx = euclid_context(weight, cone=cone, dim=dim)
@@ -470,8 +473,14 @@ class TestPricedRows:
         graph = build_graph(ctx, build_sample(config, endpoints, weight, cone))
         dense = link_matrix_reference(ctx, graph.nodes.points)
         assert same_bits(ctx.link_matrix(graph.nodes.points), dense)
-        for i in range(len(graph.nodes)):
-            assert same_bits(graph.link_row(i), dense[i]), i
+        n = len(graph.nodes)
+        for i in range(n):
+            assert same_bits(graph.link_rows(slice(i, i + 1)), dense[i:i + 1]), i
+        # Blocks of unsorted, non-contiguous nodes, one-element ones included.
+        rng = np.random.default_rng(data.draw(seeds))
+        for size in (1, 1, 2, 7, n):
+            block = rng.choice(n, size=min(size, n), replace=False)
+            assert same_bits(graph.link_rows(block), dense[block]), block
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(data=st.data(), weight=st.sampled_from(["std_phi", "ray_psi"]), delta=deltas)
@@ -514,28 +523,58 @@ class TestShortestPaths:
             assert np.array_equal(dist[s], ref_dist)
             assert np.array_equal(pred[s], ref_pred)
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(n=st.integers(2, 14), masked=st.booleans(), seed=seeds)
-    def test_early_exit_keeps_target_path(self, n, masked, seed):
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 30), costs=st.sampled_from(["ties", "masked", "line"]),
+           most=st.integers(1, 8), seed=seeds)
+    def test_early_exit_keeps_target_path(self, n, costs, most, seed):
         rng = np.random.default_rng(seed)
-        W = random_costs(rng, n, masked)
+        if costs == "line":
+            # Distinct powers of two on a line: an exact metric without
+            # distance ties, so the source's row holds the final distances.
+            x = 2.0 ** rng.permutation(n)
+            W = np.abs(x[:, None] - x[None, :])
+        else:
+            W = random_costs(rng, n, costs == "masked")
         s, t = (int(v) for v in rng.choice(n, size=2, replace=False))
-        asked = []
+        blocks = []
 
-        def row(u):
-            asked.append(u)
-            return W[u]
+        def rows(block):
+            assert isinstance(block, slice) or block.dtype.kind == "i"
+            blocks.append(block)
+            return W[block]
 
-        dist, pred = shortest_path(row, n, s, t)
-        ref_dist, ref_pred = dijkstra_reference(W, s)
+        with mock.patch.object(finite, "_ROW_BUDGET", most * n):  # blocks of <= most rows
+            dist, pred = shortest_path(rows, n, s, t)
+        settled = []
+        ref_dist, ref_pred = dijkstra_reference(W, s, settled)
+        if t in settled:
+            settled = settled[:settled.index(t)]
         assert dist[t] == ref_dist[t]
-        # Each settled node's row is read once, and the target's never.
-        assert t not in asked and len(set(asked)) == len(asked)
         if np.isfinite(ref_dist[t]):
             v = t
             while v != s:
                 assert pred[v] == ref_pred[v]
                 v = int(pred[v])
+        # The source's row alone, then one row and at most twice as many per
+        # block up to `most`; every settled node is priced, each node at most
+        # once, the target never.
+        assert blocks[0] == slice(s, s + 1)
+        nodes = [np.arange(n)[b].tolist() for b in blocks]
+        assert all(len(v) <= min(2 ** max(k - 1, 0), most) for k, v in enumerate(nodes))
+        priced = sum(nodes, [])
+        assert t not in priced and len(set(priced)) == len(priced)
+        assert set(settled) <= set(priced)
+        # Relaxations can lower an unpriced node below the ones priced ahead,
+        # but on a metric the frontier is final after the source's row: the
+        # blocks then price the settle order in consecutive runs.
+        if costs == "line":
+            assert len(priced) == len(settled)
+            lo = 0
+            for v in nodes:
+                assert sorted(v) == sorted(settled[lo:lo + len(v)])
+                lo += len(v)
+            if most > 1 and len(settled) > 3:
+                assert len(blocks) < len(settled)
 
 
 class TestStackedShortestPaths:

@@ -89,7 +89,7 @@ class TestBuildGraph:
         nodes = NodeSet(points=np.array([[0.1, 0.0], [0.3, 0.0]]),
                         provenance=["endpoint", "endpoint"])
         graph = build_graph(std_ctx, nodes)
-        assert np.isfinite(graph.link_row(0)[1:]).sum() == 1
+        assert np.isfinite(graph.link_rows(slice(0, 1))[0, 1:]).sum() == 1
         value, witness = approx_dphi(graph, nodes.points[0], nodes.points[1])
         assert value == pytest.approx(
             delta(std_ctx, nodes.points[0], nodes.points[1]), abs=1e-15
@@ -100,7 +100,7 @@ class TestBuildGraph:
         pts = rng.normal(size=(9, 2))
         nodes = NodeSet(points=pts, provenance=["endpoint"] * 9)
         graph = build_graph(std_ctx, nodes)
-        rows = np.array([graph.link_row(i) for i in range(9)])
+        rows = graph.link_rows(np.arange(9))
         off_diagonal = ~np.eye(9, dtype=bool)
         assert np.isfinite(rows[off_diagonal]).sum() == 9 * 8
 
